@@ -9,12 +9,12 @@ for the largest admissible parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .norms import Norm, fibonacci_sphere
-from .wulff import TranslatedNorm, WulffError
+from .wulff import TranslatedNorm, WulffError, ball_slice_points, vertical
 
 TOL_CONDITION = 1e-6
 TOL_DEGENERATE = 1e-8
@@ -26,12 +26,16 @@ class ConditionError(ValueError):
 
 @dataclass
 class SliceFrame:
-    """Frame at one slice point of the unit ball at the contact height."""
+    """Frame at one slice point of the unit ball at the contact height.
+
+    The batched frames of slice_frames carry a leading sample axis on every
+    field.
+    """
 
     z: np.ndarray
     nu: np.ndarray
     mu: np.ndarray
-    tangents: np.ndarray  # (m, d) basis of the slice tangent space
+    tangents: np.ndarray  # (m, d) basis of the slice tangent space, (N, m, d) batched
     af_mu: np.ndarray
     f_of_nu: float
     degenerate: bool
@@ -49,35 +53,75 @@ class ConditionReport:
     degenerate_count: int = 0
 
 
-def _slice_point(norm: Norm, omega0: float, plane_dir: np.ndarray) -> np.ndarray:
-    """Point of the unit ball at height -omega0 along a horizontal direction."""
-    d = norm.d
-    offset = np.zeros(d)
-    offset[-1] = -omega0
-    if omega0 != 0.0 and float(norm.f0_many(offset[None, :])[0]) >= 1.0:
-        raise ConditionError("empty slice: contact height outside the ball")
-    lo, hi = 0.0, 2.0
-    for _ in range(60):
-        if float(norm.f0_many((hi * plane_dir + offset)[None, :])[0]) >= 1.0:
-            break
-        hi *= 2.0
-    rho = 0.5 * (lo + hi)
-    for _ in range(100):
-        jet = norm.gauge_jets((rho * plane_dir + offset)[None, :], order=2)
-        g = float(jet.val[0]) - 1.0
-        if g > 0:
-            hi = rho
-        else:
-            lo = rho
-        slope = float(jet.grad[0] @ plane_dir)
-        rho_new = rho - g / slope if slope != 0 else 0.5 * (lo + hi)
-        if not (lo < rho_new < hi):
-            rho_new = 0.5 * (lo + hi)
-        if abs(rho_new - rho) <= 1e-14 * max(1.0, rho):
-            rho = rho_new
-            break
-        rho = rho_new
-    return rho * plane_dir + offset
+def _plane_dirs(d: int, angles, second_angles=None) -> np.ndarray:
+    """Horizontal unit directions from planar angles, shape (N, d)."""
+    a = np.atleast_1d(np.asarray(angles, dtype=float))
+    if d == 3:
+        return np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1)
+    b = np.full_like(a, 0.5 * np.pi) if second_angles is None else np.atleast_1d(second_angles)
+    sb = np.sin(b)
+    return np.stack([sb * np.cos(a), sb * np.sin(a), np.cos(b), np.zeros_like(a)], axis=1)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ni,ni->n", a, b)[:, None]
+
+
+def slice_frames(
+    norm: Norm, omega0: float, plane_dirs: np.ndarray
+) -> tuple[SliceFrame, np.ndarray, np.ndarray]:
+    """Frames at the slice points along horizontal unit directions (N, d).
+
+    Returns the frame, whose fields all carry a leading sample axis, and the
+    metric G (N, d, d) and third-order tensor Q (N, d, d, d) at the slice
+    points, both from one order-3 jet evaluation.
+    """
+    n, d = plane_dirs.shape
+    try:
+        z = ball_slice_points(norm, omega0, plane_dirs)
+    except WulffError as exc:
+        raise ConditionError("empty slice: contact height outside the ball") from exc
+    jets = norm.gauge_jets(z, order=3)
+    nu = jets.grad / np.linalg.norm(jets.grad, axis=1, keepdims=True)
+    # slice tangents: orthogonal to both the vertical axis and the normal;
+    # a vertical normal leaves the normal alone in the span
+    up_perp = vertical(d) - nu[:, -1:] * nu
+    nrm_up = np.linalg.norm(up_perp, axis=1, keepdims=True)
+    with np.errstate(all="ignore"):
+        up_unit = np.where(nrm_up < 1e-12, 0.0, up_perp / nrm_up)
+    m = d - 2
+    tangents = np.zeros((n, m, d))
+    count = np.zeros(n, dtype=int)
+    rows = np.arange(n)
+    for seed in np.eye(d):
+        # Gram-Schmidt of each seed against the span and the tangents so far;
+        # slots not filled yet are zero and leave v unchanged
+        v = np.tile(seed, (n, 1))
+        for b in [nu, up_unit] + [tangents[:, j] for j in range(m)]:
+            v -= _rowdot(v, b) * b
+        nrm = np.linalg.norm(v, axis=1)
+        take = (nrm > 1e-10) & (count < m)
+        tangents[rows[take], count[take]] = v[take] / nrm[take, None]
+        count += take
+    if np.any(count < m):
+        raise ConditionError("degenerate slice tangent space")
+    # co-normal: tangent to the ball, orthogonal to the slice tangents
+    mu = up_perp.copy()
+    for j in range(m):
+        mu -= _rowdot(mu, tangents[:, j]) * tangents[:, j]
+    nrm = np.linalg.norm(mu, axis=1, keepdims=True)
+    if np.any(nrm < 1e-12):
+        raise ConditionError("degenerate co-normal")
+    mu /= nrm
+    mu[mu[:, -1] > 0] *= -1.0
+    f_val, zmax, _, ok = norm.support_many(nu, z0=z / np.maximum(jets.val, 1e-300)[:, None])
+    if not np.all(ok):
+        raise ConditionError("dual solve failed at slice point")
+    af_mu = np.einsum("nij,nj->ni", norm.support_hessian_many(nu, maximizers=zmax), mu)
+    g_mat = norm.metric_G_many(z, jets=jets)
+    deg = np.einsum("ni,nij,nj->n", af_mu, g_mat, af_mu) < TOL_DEGENERATE**2
+    frame = SliceFrame(z, nu, mu, tangents, af_mu, f_val, deg)
+    return frame, g_mat, norm.tensor_Q_many(z, jets=jets)
 
 
 def slice_frame(norm: Norm, omega0: float, angle, second_angle: float | None = None) -> SliceFrame:
@@ -87,58 +131,33 @@ def slice_frame(norm: Norm, omega0: float, angle, second_angle: float | None = N
     and oriented downward (negative vertical component), pointing out of the
     region of the ball above the contact plane.
     """
-    d = norm.d
-    if d == 3:
-        plane_dir = np.array([np.cos(angle), np.sin(angle), 0.0])
+    fr, _, _ = slice_frames(norm, omega0, _plane_dirs(norm.d, angle, second_angle))
+    return SliceFrame(
+        fr.z[0], fr.nu[0], fr.mu[0], fr.tangents[0], fr.af_mu[0],
+        float(fr.f_of_nu[0]), bool(fr.degenerate[0]),
+    )
+
+
+def condition_margins(omega0: float, frame: SliceFrame, g_mat, q_ten, y_vecs=None):
+    """Margins of the admissibility inequality at one frame or a batch.
+
+    g_mat and q_ten are the metric and third-order tensor at the frame's
+    slice points, with the frame's leading axes.  Without y_vecs the slice
+    tangent is used in d = 3, and the minimum over a 32-direction tangent
+    sweep in d = 4.
+    """
+    if y_vecs is not None:
+        ys = np.asarray(y_vecs, dtype=float)[..., None, :]
+    elif frame.tangents.shape[-2] == 1:
+        ys = frame.tangents
     else:
-        if second_angle is None:
-            second_angle = 0.5 * np.pi
-        plane_dir = np.array(
-            [
-                np.sin(second_angle) * np.cos(angle),
-                np.sin(second_angle) * np.sin(angle),
-                np.cos(second_angle),
-                0.0,
-            ]
-        )
-    z = _slice_point(norm, omega0, plane_dir)
-    grad = norm.grad_f0(z)
-    nu = grad / np.linalg.norm(grad)
-    e_up = np.zeros(d)
-    e_up[-1] = 1.0
-    # slice tangents: orthogonal to both the vertical axis and the normal
-    up_perp = e_up - (e_up @ nu) * nu
-    nrm_up = np.linalg.norm(up_perp)
-    span = [nu] if nrm_up < 1e-12 else [nu, up_perp / nrm_up]
-    basis = []
-    for seed in np.eye(d):
-        v = seed.copy()
-        for b in span + basis:
-            v -= (v @ b) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-10:
-            basis.append(v / nrm)
-    tangents = np.array(basis[: d - 2])
-    if tangents.shape[0] != d - 2:
-        raise ConditionError("degenerate slice tangent space")
-    # co-normal: tangent to the ball, orthogonal to the slice tangents
-    mu = e_up - (e_up @ nu) * nu
-    for b in tangents:
-        mu -= (mu @ b) * b
-    nrm = np.linalg.norm(mu)
-    if nrm < 1e-12:
-        raise ConditionError("degenerate co-normal")
-    mu /= nrm
-    if mu @ e_up > 0:
-        mu = -mu
-    f_val, zmax, _, ok = norm.support_many(nu[None, :], z0=(z / max(norm.f0(z), 1e-300))[None, :])
-    if not ok[0]:
-        raise ConditionError("dual solve failed at slice point")
-    af = norm.support_hessian_many(nu[None, :], maximizers=zmax)[0]
-    af_mu = af @ mu
-    g_mat = norm.metric_G_many(z[None, :])[0]
-    deg = float(af_mu @ g_mat @ af_mu) < TOL_DEGENERATE**2
-    return SliceFrame(z, nu, mu, tangents, af_mu, float(f_val[0]), deg)
+        sweep = np.linspace(0.0, np.pi, 32, endpoint=False)[:, None]
+        t1, t2 = frame.tangents[..., :1, :], frame.tangents[..., 1:2, :]
+        ys = np.cos(sweep) * t1 + np.sin(sweep) * t2
+    scale = (frame.mu[..., -1] * frame.f_of_nu)[..., None]
+    q_val = np.einsum("...ijk,...si,...sj,...k->...s", q_ten, ys, ys, frame.af_mu)
+    g_val = np.einsum("...si,...ij,...sj->...s", ys, g_mat, ys)
+    return (q_val * scale / g_val).min(axis=-1) - omega0
 
 
 def condition_margin(norm: Norm, omega0: float, frame: SliceFrame, y_vec=None) -> float:
@@ -147,24 +166,11 @@ def condition_margin(norm: Norm, omega0: float, frame: SliceFrame, y_vec=None) -
     Positive means the inequality holds strictly at this sample.  For d = 4
     the minimum over a 32-direction tangent sweep is returned.
     """
-    e_up = np.zeros(norm.d)
-    e_up[-1] = 1.0
-    g_mat = norm.metric_G_many(frame.z[None, :])[0]
-    q_ten = norm.tensor_Q_many(frame.z[None, :])[0]
-    scale = float(frame.mu @ e_up) * frame.f_of_nu
-
-    def rhs(y):
-        q_val = np.einsum("ijk,i,j,k->", q_ten, y, y, frame.af_mu)
-        g_val = float(y @ g_mat @ y)
-        return q_val * scale / g_val
-
-    if y_vec is not None:
-        return rhs(np.asarray(y_vec, dtype=float)) - omega0
-    if norm.d == 3:
-        return rhs(frame.tangents[0]) - omega0
-    t1, t2 = frame.tangents
-    sweep = np.linspace(0.0, np.pi, 32, endpoint=False)
-    return min(rhs(np.cos(a) * t1 + np.sin(a) * t2) for a in sweep) - omega0
+    zs = frame.z[None, :]
+    jets = norm.gauge_jets(zs, order=3)
+    g_mat = norm.metric_G_many(zs, jets=jets)[0]
+    q_ten = norm.tensor_Q_many(zs, jets=jets)[0]
+    return float(condition_margins(omega0, frame, g_mat, q_ten, y_vec))
 
 
 def condition_margin_translated(tn: TranslatedNorm, frame: SliceFrame, y_vec=None) -> float:
@@ -197,35 +203,27 @@ def condition_check(
             tn = None
     if norm.d == 3:
         angles = np.linspace(0.0, 2.0 * np.pi, slice_samples, endpoint=False)
-        frames = [(a, slice_frame(norm, omega0, a)) for a in angles]
+        plane_dirs = _plane_dirs(3, angles)
     else:
-        dirs = fibonacci_sphere(slice_samples)
-        frames = []
-        for u in dirs:
-            a = float(np.arctan2(u[1], u[0]))
-            b = float(np.arccos(np.clip(u[2], -1.0, 1.0)))
-            frames.append((a, slice_frame(norm, omega0, a, second_angle=b)))
-    agree = True
-    for a, fr in frames:
-        m = condition_margin(norm, omega0, fr)
-        # margin under the opposite co-normal orientation, reported to expose
-        # convention sensitivity
-        fr_opp = SliceFrame(
-            fr.z, fr.nu, -fr.mu, fr.tangents, -fr.af_mu, fr.f_of_nu, fr.degenerate
-        )
-        m_opp = condition_margin(norm, omega0, fr_opp)
-        report.samples.append({"z": fr.z, "Y": fr.tangents[0], "margin": m})
-        report.min_margin = min(report.min_margin, m)
-        report.min_margin_opposite = min(report.min_margin_opposite, m_opp)
-        if fr.degenerate:
-            report.degenerate_count += 1
-        if tn is not None:
-            mt = condition_margin_translated(tn, fr)
-            report.min_margin_translated = min(report.min_margin_translated, mt)
-            same = (m >= -tol and mt >= -tol) or (m < -tol and mt < -tol) \
-                or abs(m) <= tol or abs(mt) <= tol
-            agree = agree and same
-    report.both_forms_agree = agree
+        plane_dirs = np.pad(fibonacci_sphere(slice_samples), ((0, 0), (0, 1)))
+    fr, g_mat, q_ten = slice_frames(norm, omega0, plane_dirs)
+    m = condition_margins(omega0, fr, g_mat, q_ten)
+    # margin under the opposite co-normal orientation, reported to expose
+    # convention sensitivity
+    m_opp = condition_margins(omega0, replace(fr, mu=-fr.mu, af_mu=-fr.af_mu), g_mat, q_ten)
+    y = fr.tangents[:, 0]
+    report.samples = [
+        {"z": zi, "Y": yi, "margin": float(mi)} for zi, yi, mi in zip(fr.z, y, m)
+    ]
+    report.min_margin = float(np.min(m, initial=np.inf))
+    report.min_margin_opposite = float(np.min(m_opp, initial=np.inf))
+    report.degenerate_count = int(np.count_nonzero(fr.degenerate))
+    if tn is not None:
+        mt = -tn.transfer_G_Q_many(fr.z, y, y, fr.af_mu)[1]
+        report.min_margin_translated = float(np.min(mt, initial=np.inf))
+        same = ((m >= -tol) & (mt >= -tol)) | ((m < -tol) & (mt < -tol)) \
+            | (np.abs(m) <= tol) | (np.abs(mt) <= tol)
+        report.both_forms_agree = bool(np.all(same))
     report.satisfied = report.min_margin >= -tol
     return report
 

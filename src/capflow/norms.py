@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as expr_mod
-from .expr import EvalDomainError, Expression, Jet, symmetrize_hess, symmetrize_third
+from .expr import (
+    EvalDomainError,
+    Expression,
+    Jet,
+    _sym3_hg,
+    symmetrize_hess,
+    symmetrize_third,
+)
 
 DUAL_TOL = 1e-12
 DUAL_MAX_ITER = 60
@@ -53,11 +60,6 @@ def random_directions(count: int, d: int, seed: int = 42) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _sym3_hg(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    t = np.einsum("nij,nk->nijk", h, g)
-    return t + np.einsum("njk,ni->nijk", h, g) + np.einsum("nik,nj->nijk", h, g)
 
 
 class Norm:
@@ -428,14 +430,6 @@ class ShiftedGaugeNorm(Norm):
             t3_eta2 = np.einsum("nij,j->ni", t3_eta, eta)
             t3_eta3 = t3_eta2 @ eta
 
-            def sym3_hg(hh, gg):
-                out = np.einsum("nij,nk->nijk", hh, gg)
-                return (
-                    out
-                    + np.einsum("njk,ni->nijk", hh, gg)
-                    + np.einsum("nik,nj->nijk", hh, gg)
-                )
-
             def sym3_vgg(w, gg):
                 out = np.einsum("ni,nj,nk->nijk", w, gg, gg)
                 return (
@@ -446,12 +440,12 @@ class ShiftedGaugeNorm(Norm):
 
             c1 = c[:, None, None, None]
             term1 = t3 / c1
-            term2 = (sym3_hg(t3_eta, g) + sym3_hg(h, h_eta)) / c1**2
+            term2 = (_sym3_hg(t3_eta, g) + _sym3_hg(h, h_eta)) / c1**2
             ggg = np.einsum("ni,nj,nk->nijk", g, g, g)
             term3 = (
                 sym3_vgg(t3_eta2, g)
-                + s2[:, None, None, None] * sym3_hg(h, g)
-                + 2.0 * sym3_hg(np.einsum("ni,nj->nij", h_eta, h_eta), g)
+                + s2[:, None, None, None] * _sym3_hg(h, g)
+                + 2.0 * _sym3_hg(np.einsum("ni,nj->nij", h_eta, h_eta), g)
             ) / c1**3
             term4 = (
                 t3_eta3[:, None, None, None] * ggg

@@ -71,6 +71,66 @@ def anchor_vector(norm: Norm, omega0: float) -> AnchorVector:
     return AnchorVector(e_f, float(omega0))
 
 
+RAY_TOL = 1e-14
+RAY_MAX_ITER = 100
+
+
+def ray_roots(
+    norm: Norm, dirs: np.ndarray, offset: np.ndarray, level: float
+) -> tuple[np.ndarray, int]:
+    """Distances rho > 0 with gauge(rho * dirs[n] + offset) = level, per row.
+
+    The offset must lie strictly inside the level set.  Each ray runs Newton
+    steps inside the bracket [lo, hi] that the sign of the residual keeps; a
+    step that leaves the bracket is replaced by its midpoint.  A row stops
+    once its step is at most RAY_TOL relative, and only unconverged rows are
+    evaluated.  Returns the distances and the number of Newton passes.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    n = dirs.shape[0]
+    lo = np.zeros(n)
+    hi = np.full(n, 2.0 * level)
+    # expand until the gauge exceeds the level along every ray
+    grow = np.arange(n)
+    for _ in range(60):
+        if grow.size == 0:
+            break
+        grow = grow[norm.f0_many(hi[grow, None] * dirs[grow] + offset) < level]
+        hi[grow] *= 2.0
+    rho = 0.5 * (lo + hi)
+    act = np.arange(n)
+    passes = 0
+    while act.size and passes < RAY_MAX_ITER:
+        passes += 1
+        r, u = rho[act], dirs[act]
+        jet = norm.gauge_jets(r[:, None] * u + offset, order=2)
+        g = jet.val - level
+        hi[act] = np.where(g > 0, r, hi[act])
+        lo[act] = np.where(g <= 0, r, lo[act])
+        with np.errstate(all="ignore"):
+            step = g / np.einsum("ni,ni->n", jet.grad, u)
+        r_new = r - step
+        tol = RAY_TOL * np.maximum(1.0, r)
+        # a converged step lands on its own bracket end: test it first
+        done = np.abs(step) <= tol
+        bad = ~done & (~np.isfinite(r_new) | (r_new <= lo[act]) | (r_new >= hi[act]))
+        r_new[bad] = 0.5 * (lo[act][bad] + hi[act][bad])
+        done |= np.abs(r_new - r) <= tol
+        rho[act] = r_new
+        act = act[~done]
+    return rho, passes
+
+
+def ball_slice_points(norm: Norm, omega0: float, plane_dirs: np.ndarray) -> np.ndarray:
+    """Points of the unit ball at height -omega0 along horizontal unit directions."""
+    offset = np.zeros(norm.d)
+    offset[-1] = -omega0
+    if omega0 != 0.0 and norm.f0(offset) >= 1.0:
+        raise WulffError("empty boundary slice")
+    rho, _ = ray_roots(norm, plane_dirs, offset, 1.0)
+    return rho[:, None] * plane_dirs + offset
+
+
 class CapillaryWulffShape:
     """Scaled translated unit ball of the dual gauge, cut by the half-space.
 
@@ -93,35 +153,9 @@ class CapillaryWulffShape:
             raise WulffError("origin is not interior to the shape")
 
     def radial_many(self, directions: np.ndarray) -> np.ndarray:
-        """Radial distances along unit directions, Newton with bisection fallback."""
+        """Radial distances along unit directions."""
         u = np.asarray(directions, dtype=float)
-        flat = u.reshape(-1, self.norm.d)
-        n = flat.shape[0]
-        lo = np.zeros(n)
-        hi = np.full(n, self.r * 2.0)
-        # expand until the gauge exceeds the radius along every ray
-        for _ in range(60):
-            vals = self.norm.f0_many(hi[:, None] * flat - self.center)
-            grow = vals < self.r
-            if not np.any(grow):
-                break
-            hi[grow] *= 2.0
-        rho = 0.5 * (lo + hi)
-        for _ in range(100):
-            pts = rho[:, None] * flat - self.center
-            jet = self.norm.gauge_jets(pts, order=2)
-            g = jet.val - self.r
-            hi = np.where(g > 0, rho, hi)
-            lo = np.where(g <= 0, rho, lo)
-            slope = np.einsum("ni,ni->n", jet.grad, flat)
-            with np.errstate(all="ignore"):
-                rho_new = rho - g / slope
-            bad = ~np.isfinite(rho_new) | (rho_new <= lo) | (rho_new >= hi)
-            rho_new[bad] = 0.5 * (lo[bad] + hi[bad])
-            if np.all(np.abs(rho_new - rho) <= 1e-12 * np.maximum(1.0, rho)):
-                rho = rho_new
-                break
-            rho = rho_new
+        rho, _ = ray_roots(self.norm, u.reshape(-1, self.norm.d), -self.center, self.r)
         return rho.reshape(u.shape[:-1])
 
     def radial_function(self, direction) -> float:
@@ -225,38 +259,10 @@ class TranslatedNorm:
         if self.base.d != 3:
             raise WulffError("slice_points is for ambient dimension 3")
         angles = np.asarray(angles, dtype=float)
-        n = angles.size
         plane_dirs = np.stack(
-            [np.cos(angles), np.sin(angles), np.zeros(n)], axis=1
+            [np.cos(angles), np.sin(angles), np.zeros(angles.size)], axis=1
         )
-        offset = np.array([0.0, 0.0, -self.omega0])
-        if self.omega0 != 0.0 and self.base.f0_many(offset[None, :])[0] >= 1.0:
-            raise WulffError("empty boundary slice")
-        lo = np.zeros(n)
-        hi = np.full(n, 2.0)
-        for _ in range(60):
-            vals = self.base.f0_many(hi[:, None] * plane_dirs + offset)
-            grow = vals < 1.0
-            if not np.any(grow):
-                break
-            hi[grow] *= 2.0
-        rho = 0.5 * (lo + hi)
-        for _ in range(100):
-            pts = rho[:, None] * plane_dirs + offset
-            jet = self.base.gauge_jets(pts, order=2)
-            g = jet.val - 1.0
-            hi = np.where(g > 0, rho, hi)
-            lo = np.where(g <= 0, rho, lo)
-            slope = np.einsum("ni,ni->n", jet.grad, plane_dirs)
-            with np.errstate(all="ignore"):
-                rho_new = rho - g / slope
-            bad = ~np.isfinite(rho_new) | (rho_new <= lo) | (rho_new >= hi)
-            rho_new[bad] = 0.5 * (lo[bad] + hi[bad])
-            if np.all(np.abs(rho_new - rho) <= 1e-13 * np.maximum(1.0, rho)):
-                rho = rho_new
-                break
-            rho = rho_new
-        return rho[:, None] * plane_dirs + offset
+        return ball_slice_points(self.base, self.omega0, plane_dirs)
 
     def slice_support(self, planar_unit, samples: int = 512) -> float:
         """Planar support function of the translated ball cut at height zero.
@@ -287,17 +293,8 @@ class TranslatedNorm:
         from .norms import random_directions
 
         dirs3 = random_directions(4096, 3, seed=7)
-        offset = np.zeros(4)
-        offset[3] = -self.omega0
-        lo = np.zeros(dirs3.shape[0])
-        hi = np.full(dirs3.shape[0], 2.0)
         dirs4 = np.concatenate([dirs3, np.zeros((dirs3.shape[0], 1))], axis=1)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            vals = self.base.f0_many(mid[:, None] * dirs4 + offset)
-            hi = np.where(vals > 1.0, mid, hi)
-            lo = np.where(vals <= 1.0, mid, lo)
-        pts = (0.5 * (lo + hi))[:, None] * dirs4 + offset + self.eta
+        pts = ball_slice_points(self.base, self.omega0, dirs4) + self.eta
         return float(np.max(pts[:, :3] @ u))
 
     def slice_support_table(self, samples: int = 512) -> np.ndarray:

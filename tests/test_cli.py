@@ -1,6 +1,8 @@
 """Config ingestion and subcommand behaviour of the command line front end."""
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from capflow.cli import (
     main,
     parse_config,
 )
+from capflow.norms import NORM_KINDS
 
 
 def write(tmp_path, name, text):
@@ -141,3 +144,15 @@ class TestVerify:
 
     def test_appendix_suite_passes(self, capsys):
         assert main(["verify", "appendix-a"]) == 0
+
+
+class TestReadme:
+    def test_norm_kind_row_lists_every_kind(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = [
+            line for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `norm.kind` |")
+        ]
+        assert len(rows) == 1
+        meaning = rows[0].split("|")[3]
+        assert tuple(re.findall(r"`([^`]+)`", meaning)) == NORM_KINDS

@@ -10,12 +10,18 @@ from capflow.condition import (
     condition_margin_translated,
     scan_max_omega,
     slice_frame,
+    slice_frames,
 )
 from capflow.norms import make_norm
 from capflow.wulff import TranslatedNorm
 
 SPHERE = make_norm("sphere")
 A2 = make_norm("quartic_a2")
+A3 = make_norm("quartic_a3", [0.3])
+SPHERE4 = make_norm("sphere", dim=4)
+QUARTIC4 = make_norm(
+    "custom", f0_expr="((x^2+y^2+z^2+w^2)*(x^2+y^2+z^2)+w^4)^(1/4)", dim=4
+)
 
 
 def a2_margin_closed_form(omega0: float) -> float:
@@ -119,3 +125,64 @@ class TestScan:
     def test_bad_bracket(self):
         with pytest.raises(ConditionError):
             scan_max_omega(SPHERE, (0.5, -0.5))
+
+
+def sample_margins(rep):
+    return np.array([s["margin"] for s in rep.samples])
+
+
+class TestBatchedCheck:
+    @pytest.mark.parametrize("omega0", [-0.45, -0.2, 0.1, 0.35])
+    def test_quartic_every_sample_closed_form(self, omega0):
+        rep = condition_check(A2, omega0, slice_samples=64)
+        np.testing.assert_allclose(
+            sample_margins(rep), a2_margin_closed_form(omega0), rtol=0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("omega0", [-0.5, -0.1, 0.2])
+    def test_sphere_every_sample_minus_omega(self, omega0):
+        rep = condition_check(SPHERE, omega0, slice_samples=64)
+        np.testing.assert_allclose(sample_margins(rep), -omega0, rtol=0, atol=1e-10)
+
+    def test_a3_every_sample_equality(self):
+        rep = condition_check(A3, 0.3, slice_samples=64)
+        assert np.abs(sample_margins(rep)).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "norm, omega0",
+        [(A2, -0.3), (A2, 0.35), (A3, 0.3), (SPHERE, 0.2), (SPHERE4, -0.3), (QUARTIC4, -0.3)],
+    )
+    def test_frame_invariants(self, norm, omega0):
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(40, norm.d))
+        dirs[:, -1] = 0.0
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        fr, _, _ = slice_frames(norm, omega0, dirs)
+        np.testing.assert_allclose(norm.f0_many(fr.z), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fr.z[:, -1], -omega0, rtol=0, atol=1e-12)
+        assert np.abs(np.einsum("ni,ni->n", fr.nu, fr.mu)).max() <= 1e-12
+        assert fr.tangents.shape == (40, norm.d - 2, norm.d)
+        assert np.abs(np.einsum("ni,nmi->nm", fr.nu, fr.tangents)).max() <= 1e-12
+        assert np.abs(np.einsum("ni,nmi->nm", fr.mu, fr.tangents)).max() <= 1e-12
+        assert np.all(fr.mu[:, -1] < 0.0)
+
+    def test_one_row_view_matches_batch(self):
+        angles = np.array([0.4, 2.5])
+        dirs = np.stack([np.cos(angles), np.sin(angles), np.zeros(2)], axis=1)
+        batch, _, _ = slice_frames(A2, -0.3, dirs)
+        for k, a in enumerate(angles):
+            fr = slice_frame(A2, -0.3, a)
+            np.testing.assert_array_equal(fr.z, batch.z[k])
+            np.testing.assert_array_equal(fr.mu, batch.mu[k])
+            np.testing.assert_array_equal(fr.af_mu, batch.af_mu[k])
+
+
+class TestFourDimensions:
+    def test_sphere_margin_is_minus_omega(self):
+        rep = condition_check(SPHERE4, -0.3, slice_samples=48)
+        np.testing.assert_allclose(sample_margins(rep), 0.3, rtol=0, atol=1e-10)
+        assert rep.satisfied and rep.both_forms_agree
+
+    def test_quartic_accepts_negative(self):
+        rep = condition_check(QUARTIC4, -0.3, slice_samples=48)
+        assert rep.satisfied and rep.both_forms_agree

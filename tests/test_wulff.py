@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capflow.norms import ShiftedGaugeNorm, make_norm
 from capflow.wulff import (
+    RAY_MAX_ITER,
     AnchorVector,
     CapillaryWulffShape,
     TranslatedNorm,
     WulffError,
     admissible_interval,
     anchor_vector,
+    ray_roots,
     translated_metric_Q,
     vertical,
 )
@@ -147,3 +151,38 @@ class TestTranslatedNorm:
         anchor = AnchorVector(np.array([0.0, 0.0, 1.0]), -2.0)
         with pytest.raises(WulffError):
             TranslatedNorm(SPHERE, -2.0, anchor)
+
+
+RAY_NORMS = {
+    "quartic_a2": A2,
+    "sphere": SPHERE,
+    "quartic_a3": make_norm("quartic_a3", [0.3]),
+}
+ANGLES = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))
+
+
+def unit(polar_azimuth):
+    b, a = polar_azimuth
+    return np.array([np.sin(b) * np.cos(a), np.sin(b) * np.sin(a), np.cos(b)])
+
+
+class TestRayRoots:
+    @given(
+        kind=st.sampled_from(sorted(RAY_NORMS)),
+        dirs=st.lists(ANGLES, min_size=1, max_size=8),
+        offset_dir=ANGLES,
+        depth=st.floats(0.0, 0.95),
+        level=st.floats(0.05, 20.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_roots_lie_on_the_level_set(self, kind, dirs, offset_dir, depth, level):
+        norm = RAY_NORMS[kind]
+        u = np.array([unit(x) for x in dirs])
+        w = unit(offset_dir)
+        # an interior offset: gauge(offset) = depth * level < level
+        offset = depth * level * w / norm.f0(w)
+        rho, passes = ray_roots(norm, u, offset, level)
+        vals = norm.f0_many(rho[:, None] * u + offset)
+        assert np.all(np.abs(vals - level) <= 1e-12 * level)
+        assert np.all(rho > 0.0)
+        assert passes <= RAY_MAX_ITER // 4
