@@ -7,7 +7,7 @@ check batteries with pass/fail lines), norm-info (basic facts about a norm).
 Config files are flat ``section.key = value`` text.  Unknown keys are
 rejected, '#' starts a comment, arrays are bracketed comma lists, and paths
 are resolved relative to the config file.  Exit codes: 0 success, 2 config
-error, 3 runtime blow-up (partial outputs are kept).
+error, 3 runtime blow-up or numerical failure (partial outputs are kept).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .condition import ConditionError, condition_check
-from .expr import ExprError
+from .expr import EvalDomainError, ExprError
 from .flow import (
     BlowUpError,
     FlowConfig,
@@ -34,6 +34,7 @@ from .norms import NormError, make_norm
 from .surface import (
     GraphSurface,
     HalfSphereGrid,
+    SurfaceError,
     capillary_area,
     enclosed_volume,
     geometry,
@@ -80,6 +81,8 @@ CONFIG_KEYS = {
     "condition.samples": int,
     "condition.omega0": float,
 }
+# counts that must be at least 1
+POSITIVE_KEYS = ("flow.record_every", "condition.samples")
 
 
 def _parse_value(key: str, raw: str, base_dir: str):
@@ -125,6 +128,8 @@ def parse_config(path: str) -> dict:
             cfg[key] = _parse_value(key, raw, base_dir)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        if key in POSITIVE_KEYS and cfg[key] < 1:
+            raise ConfigError(f"line {lineno}: {key} must be at least 1")
     return cfg
 
 
@@ -193,7 +198,7 @@ def cmd_simulate(config_path: str) -> int:
         raise ConfigError(str(exc)) from exc
     try:
         trace, _ = run(flow_cfg)
-    except (FlowError, WulffError) as exc:
+    except (FlowError, WulffError, NormError, SurfaceError, EvalDomainError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     trace.to_csv(os.path.join(out, "trace.csv"))

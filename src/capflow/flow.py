@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import Norm
+from .expr import EvalDomainError
+from .norms import DualSolveError, Norm
 from .surface import (
     GeometryBundle,
     GraphSurface,
     HalfSphereGrid,
     SliceSupportTable,
+    SurfaceError,
     boundary_capillarity_residual,
     capillary_area,
     enclosed_volume,
@@ -102,11 +104,6 @@ class FlowTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-def speed_field(bundle: GeometryBundle) -> np.ndarray:
-    """Normal speed of the volume-preserving flow at the geometry nodes."""
-    return bundle.f
-
-
 def perturbation_field(grid: HalfSphereGrid, epsilon: float, seed: int) -> np.ndarray:
     """Low-harmonic radial perturbation vanishing to second order at the rim.
 
@@ -154,7 +151,8 @@ def boundary_enforce(
     The unknown is the ghost value entering the centered beta-derivative at
     beta = pi/2.  Newton on <Psi(nu), -E_up> = omega0, which is monotone in
     the ghost unknown because the support Hessian is positive on tangent
-    directions.  Returns the final max residual.
+    directions.  Returns the final max residual.  warm_state carries the
+    maximizers and their gauge jets from one call to the next.
     """
     grid = surface.grid
     if grid.n != 2:
@@ -169,19 +167,20 @@ def boundary_enforce(
     e2 = np.stack([-np.sin(lam), np.cos(lam), np.zeros_like(lam)], axis=1)
     horizontal = u - p_l[:, None] * e2
     ghost = surface.phi[nb + 1].copy()
-    z_warm = warm_state.get("z") if warm_state else None
+    z = warm_state.get("z") if warm_state else None
+    jets = warm_state.get("jets") if warm_state else None
     res = np.inf
     for it in range(max_iter):
         p_b = (ghost - inner) / (2 * db)
         w = horizontal.copy()
         w[:, 2] = p_b
+        # jets depend only on z, so the last iterate's jets start the next solve
         f_val, z, _, ok, jets = norm.support_many(
-            w, z0=z_warm, tol=min(tol, 1e-10), return_jets=True
+            w, z0=z, tol=min(tol, 1e-10), return_jets=True, jets0=jets
         )
         if not np.all(ok):
             bad = int(np.argmax(~ok))
             raise FlowError(f"boundary dual solve failed at node {bad}")
-        z_warm = z
         psi = -z[:, 2] - omega0
         res = float(np.abs(psi).max())
         if res <= tol:
@@ -198,7 +197,7 @@ def boundary_enforce(
         )
     surface.phi[nb + 1] = ghost
     if warm_state is not None:
-        warm_state["z"] = z_warm
+        warm_state["z"], warm_state["jets"] = z, jets
     return res
 
 
@@ -244,8 +243,12 @@ def step(
     bundle: GeometryBundle | None = None,
     dt: float | None = None,
     boundary_tol: float = 1e-8,
+    warm_state: dict | None = None,
 ) -> tuple[GraphSurface, float, GeometryBundle]:
-    """One forward-Euler step; returns the advanced surface and its bundle."""
+    """One forward-Euler step; returns the advanced surface and its bundle.
+
+    The dual solve starts warm from bundle; warm_state goes to boundary_enforce.
+    """
     if bundle is None:
         bundle = geometry(surface, norm, omega0, anchor)
     grid = surface.grid
@@ -255,11 +258,9 @@ def step(
         raise FlowError("time step underflow")
     new = surface.copy()
     _advance(new, bundle, dt)
-    boundary_enforce(new, norm, omega0, boundary_tol)
+    boundary_enforce(new, norm, omega0, boundary_tol, warm_state=warm_state)
     new.time = surface.time + dt
-    bundle_new = geometry(
-        new, norm, omega0, anchor, warm=bundle.maximizers, dual_tol=1e-9
-    )
+    bundle_new = geometry(new, norm, omega0, anchor, warm=bundle, dual_tol=1e-9)
     return new, dt, bundle_new
 
 
@@ -388,24 +389,19 @@ def run(config: FlowConfig):
             if float(np.abs(bundle.f).max()) <= config.convergence_tol:
                 trace.converged = True
                 break
-            new = surface.copy()
-            _advance(new, bundle, dt)
-            boundary_enforce(new, norm, omega0, config.boundary_tol, warm_state=bc_warm)
-            new.time = surface.time + dt
-            bundle = geometry(
-                new, norm, omega0, anchor, warm=bundle.maximizers, dual_tol=1e-9
+            surface, _, bundle = step(
+                surface, norm, omega0, anchor, bundle=bundle, dt=dt,
+                boundary_tol=config.boundary_tol, warm_state=bc_warm,
             )
-            surface = new
             trace.steps += 1
             if trace.steps % 20 == 0 and config.dt_override is None:
                 dt = cfl_dt(grid, bundle.diffusion_max, config.cfl_sigma)
-            if dt < 1e-12:
-                raise FlowError("time step underflow")
             if trace.steps % config.record_every == 0:
                 record(bundle, dt)
-    except FlowError:
-        # any stepping failure (runaway amplitude, degenerate boundary solve,
-        # dt underflow) ends the run with the partial trace intact
+    except (FlowError, DualSolveError, SurfaceError, EvalDomainError):
+        # any stepping failure (runaway amplitude, degenerate boundary or
+        # dual solve, gauge evaluated off its domain, dt underflow) ends the
+        # run with the partial trace intact
         trace.blow_up = True
         return trace, surface
     if trace.records and trace.records[-1]["steps"] != trace.steps:

@@ -2,10 +2,10 @@
 
 A norm object exposes the gauge function together with its derivatives up to
 third order.  From those it derives the support function of the unit ball
-(by a bordered Newton solve on the level set), the map sending a direction to
-the touching point of the supporting hyperplane, the squared-gauge Hessian
-metric, its third-derivative tensor, and the tangential curvature matrix of
-the support function.
+(by a Newton solve on the level set, eliminated through the metric), the map
+sending a direction to the touching point of the supporting hyperplane, the
+squared-gauge Hessian metric, its third-derivative tensor, and the tangential
+curvature matrix of the support function.
 """
 
 from __future__ import annotations
@@ -62,6 +62,34 @@ def random_directions(count: int, d: int, seed: int = 42) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def metric_solve(g_mat: np.ndarray, rhs: np.ndarray, name: str = "norm") -> np.ndarray:
+    """Solve G x = rhs for a batch of symmetric metrics G (N,d,d), rhs (N,d,k).
+
+    d = 3 uses the closed-form adjugate of the upper triangle; other sizes a
+    batched LAPACK solve.  A non-finite or singular G raises DualSolveError.
+    """
+    if not np.all(np.isfinite(g_mat)):
+        raise DualSolveError(f"non-finite metric in the dual system for {name}")
+    if g_mat.shape[-1] != 3:
+        try:
+            return np.linalg.solve(g_mat, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DualSolveError(f"singular dual system for {name}") from exc
+    a, b, c = g_mat[:, 0, 0], g_mat[:, 0, 1], g_mat[:, 0, 2]
+    d, e, f = g_mat[:, 1, 1], g_mat[:, 1, 2], g_mat[:, 2, 2]
+    adj = np.empty_like(g_mat)
+    adj[:, 0, 0] = d * f - e * e
+    adj[:, 0, 1] = adj[:, 1, 0] = c * e - b * f
+    adj[:, 0, 2] = adj[:, 2, 0] = b * e - c * d
+    adj[:, 1, 1] = a * f - c * c
+    adj[:, 1, 2] = adj[:, 2, 1] = b * c - a * e
+    adj[:, 2, 2] = a * d - b * b
+    det = a * adj[:, 0, 0] + b * adj[:, 0, 1] + c * adj[:, 0, 2]
+    if np.any(det == 0.0):
+        raise DualSolveError(f"singular dual system for {name}")
+    return np.einsum("nij,njk->nik", adj, rhs) / det[:, None, None]
+
+
 class Norm:
     """A smooth elliptic gauge on R^d with derivative oracles.
 
@@ -97,13 +125,20 @@ class Norm:
         z0: np.ndarray | None = None,
         tol: float = DUAL_TOL,
         return_jets: bool = False,
+        jets0: Jet | None = None,
     ):
         """Support values and maximizers for a batch of directions.
 
-        Solves max <x,z> subject to gauge(z) = 1 by a damped bordered Newton
-        method on the stationarity system x = s*Dgauge(z), gauge(z) = 1.
-        Returns (values, maximizers, iterations, converged_mask) and, with
-        return_jets, the gauge jets at the maximizers as a fifth item.
+        Solves max <x,z> subject to gauge(z) = 1 by damped Newton on the
+        stationarity system r_x = x - s*Dgauge(z) = 0, r_g = gauge(z) - 1 = 0.
+        Euler's identities for the 1-homogeneous gauge (Hess z = 0 and
+        <Dgauge, z> = gauge) hold at every iterate, so the bordered Newton
+        system reduces to one solve against the metric
+        G = gauge*Hess + Dgauge Dgauge^T:  G w = r_x, ds = <Dgauge, w>,
+        dz = (gauge/s) w - (ds/s + r_g/gauge) z.  jets0, the order-2 gauge
+        jets at z0, spares the start-up evaluation.  Returns (values,
+        maximizers, iterations, converged_mask) and, with return_jets, the
+        gauge jets at the maximizers as a fifth item.
         """
         xs = np.asarray(xs, dtype=float)
         n, d = xs.shape
@@ -111,47 +146,43 @@ class Norm:
         if np.any(norms_x == 0.0):
             raise NormError("support direction must be nonzero")
         start = xs if z0 is None else np.asarray(z0, dtype=float)
-        jet0 = self.gauge_jets(start, order=2)
+        jet0 = self.gauge_jets(start, order=2) if jets0 is None else jets0
         # rescale the jets onto the unit level set by homogeneity instead of
         # re-evaluating: grad is 0-homogeneous, hess is (-1)-homogeneous
         c = jet0.val
         z = start / c[:, None]
-        jet = Jet(np.ones(n), jet0.grad, jet0.hess * c[:, None, None], None)
+        jet = Jet(np.ones(n), jet0.grad.copy(), jet0.hess * c[:, None, None], None)
         s = np.einsum("ni,ni->n", xs, z)
         scale = np.maximum(1.0, norms_x)
 
-        def residual_from(jetc, sc):
-            r = np.empty((n, d + 1))
-            r[:, :d] = xs - sc[:, None] * jetc.grad
-            r[:, d] = jetc.val - 1.0
+        def residual(xa, sa, jeta):
+            r = np.empty((xa.shape[0], d + 1))
+            r[:, :d] = xa - sa[:, None] * jeta.grad
+            r[:, d] = jeta.val - 1.0
             return r
 
-        r = residual_from(jet, s)
+        r = residual(xs, s, jet)
         rnorm = np.linalg.norm(r, axis=1) / scale
         iterations = 0
         for iterations in range(1, DUAL_MAX_ITER + 1):
             act = np.nonzero(rnorm > tol)[0]
             if act.size == 0:
                 break
-            # Newton system assembled and solved on unconverged rows only
-            na = act.size
-            jac = np.zeros((na, d + 1, d + 1))
-            jac[:, :d, :d] = -s[act, None, None] * jet.hess[act]
-            jac[:, :d, d] = -jet.grad[act]
-            jac[:, d, :d] = jet.grad[act]
-            try:
-                delta = np.linalg.solve(jac, -r[act, :, None])[:, :, 0]
-            except np.linalg.LinAlgError as exc:
-                raise DualSolveError(f"singular dual system for {self.name}") from exc
+            if act.size == n:
+                act = slice(None)
+            # Newton step on unconverged rows only, eliminated through G
+            za, sa, ga, grad = z[act], s[act], jet.val[act], jet.grad[act]
+            g_mat = ga[:, None, None] * jet.hess[act] + grad[:, :, None] * grad[:, None, :]
+            w = metric_solve(g_mat, r[act, :d, None], self.name)[:, :, 0]
+            ds = np.einsum("ni,ni->n", grad, w)
+            dz = (ga / sa)[:, None] * w - (ds / sa + r[act, d] / ga)[:, None] * za
             step = 1.0
             for _ in range(30):
-                z_try = z[act] + step * delta[:, :d]
-                s_try = s[act] + step * delta[:, d]
+                z_try = za + step * dz
+                s_try = sa + step * ds
                 with np.errstate(all="ignore"):
                     jet_try = self.gauge_jets(z_try, order=2)
-                    r_try = np.empty((na, d + 1))
-                    r_try[:, :d] = xs[act] - s_try[:, None] * jet_try.grad
-                    r_try[:, d] = jet_try.val - 1.0
+                    r_try = residual(xs[act], s_try, jet_try)
                 rnorm_try = np.linalg.norm(r_try, axis=1) / scale[act]
                 if np.all(np.isfinite(rnorm_try) & (rnorm_try <= rnorm[act])):
                     break
@@ -226,8 +257,8 @@ class Norm:
         if jets is None:
             jets = self.gauge_jets(z, order=2)
         g_mat = self.metric_G_many(z, jets=jets)
-        g_inv = np.linalg.inv(g_mat)
         eye = np.eye(self.d)[None, :, :]
+        g_inv = metric_solve(g_mat, np.broadcast_to(eye, g_mat.shape), self.name)
         proj = eye - np.einsum("ni,nj->nij", z, jets.grad)
         f_val = np.einsum("ni,ni->n", nus, z)
         return np.einsum("nij,njk->nik", proj, g_inv) / f_val[:, None, None]
@@ -347,7 +378,7 @@ class QuadraticNorm(Norm):
             symmetrize_third(third)
         return Jet(val, grad, hess, third)
 
-    def support_many(self, xs, z0=None, tol=DUAL_TOL, return_jets=False):
+    def support_many(self, xs, z0=None, tol=DUAL_TOL, return_jets=False, jets0=None):
         xs = np.asarray(xs, dtype=float)
         minv_x = xs @ self.m_inv
         val = np.sqrt(np.einsum("ni,ni->n", xs, minv_x))

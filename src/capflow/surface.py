@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .expr import Jet
 from .norms import Norm
 from .wulff import AnchorVector, CapillaryWulffShape, TranslatedNorm, anchor_vector
 
@@ -198,6 +199,7 @@ class GeometryBundle:
     area_el: np.ndarray       # rho^n * v (per unit round measure)
     diffusion_max: float
     maximizers: np.ndarray
+    maximizer_jets: Jet       # order-2 gauge jets at the maximizers
 
     def field(self, name: str) -> np.ndarray:
         return getattr(self, name).reshape(self.shape)
@@ -361,10 +363,14 @@ def geometry(
     norm: Norm,
     omega0: float,
     anchor: AnchorVector | None = None,
-    warm: np.ndarray | None = None,
+    warm: GeometryBundle | None = None,
     dual_tol: float = 1e-12,
 ) -> GeometryBundle:
-    """Full pointwise geometry of the graph surface under the given norm."""
+    """Full pointwise geometry of the graph surface under the given norm.
+
+    warm, a bundle of a nearby surface on the same grid, starts the dual
+    solve from its maximizers and their gauge jets.
+    """
     grid = surface.grid
     n = grid.n
     if anchor is None:
@@ -390,8 +396,9 @@ def geometry(
     outer_p = p[:, :, None] * p[:, None, :]
     g = (rho**2)[:, None, None] * (eye + outer_p)
     h = (rho / v)[:, None, None] * (eye + outer_p - H)
+    z0, jets0 = (None, None) if warm is None else (warm.maximizers, warm.maximizer_jets)
     f_val, xi, _, ok, xi_jets = norm.support_many(
-        nu, z0=warm, tol=dual_tol, return_jets=True
+        nu, z0=z0, tol=dual_tol, return_jets=True, jets0=jets0
     )
     if not np.all(ok):
         raise SurfaceError(f"dual solve failed at {int(np.sum(~ok))} nodes")
@@ -436,6 +443,7 @@ def geometry(
         u_hat=u_hat, u_bar=u_bar, pairing=pairing, g=g, h=h,
         ghat=ghat, hhat=hhat, kappaF=kappa, Hk=Hk, HF=HF, f=f_speed,
         area_el=area_el, diffusion_max=diffusion_max, maximizers=xi,
+        maximizer_jets=xi_jets,
     )
 
 

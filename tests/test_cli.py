@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capflow import cli
 from capflow.cli import (
     ConfigError,
     build_norm,
     main,
     parse_config,
 )
-from capflow.norms import NORM_KINDS
+from capflow.norms import NORM_KINDS, DualSolveError, QuadraticNorm
 
 
 def write(tmp_path, name, text):
@@ -66,6 +67,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path, "e.cfg", "flow.omega0 = fast\n"))
 
+    def test_record_every_zero_exit_two(self, tmp_path, capsys):
+        path = write(tmp_path, "r.cfg", SIM_CFG + "flow.record_every = 0\n")
+        assert main(["simulate", path]) == 2
+        assert "flow.record_every must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_nonpositive_samples_exit_two(self, tmp_path, capsys, samples):
+        cfg = f"norm.kind = sphere\ncondition.omega0 = -0.3\ncondition.samples = {samples}\n"
+        path = write(tmp_path, "s.cfg", cfg)
+        assert main(["check-condition", path]) == 2
+        assert "condition.samples must be at least 1" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_short_run_exit_zero(self, tmp_path, capsys):
@@ -94,6 +107,27 @@ class TestSimulate:
         path = write(tmp_path, "blow.cfg", cfg)
         assert main(["simulate", path]) == 3
         assert (tmp_path / "out" / "trace.csv").exists()
+
+    def test_numerical_failure_mid_run_exit_three(self, tmp_path, monkeypatch):
+        class FailingSphere(QuadraticNorm):
+            """Round norm whose support solve fails on its 131st call."""
+
+            calls = 0
+
+            def support_many(self, *args, **kwargs):
+                # set-up takes 10 calls and a step 4, so this is step ~30
+                self.calls += 1
+                if self.calls > 130:
+                    raise DualSolveError("singular dual system for failing-sphere")
+                return super().support_many(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_norm", lambda *a, **k: FailingSphere(np.eye(3)))
+        path = write(tmp_path, "fail.cfg", SIM_CFG)
+        assert main(["simulate", path]) == 3
+        trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        assert len(trace) >= 3  # header plus the records at steps 0 and 20
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "blow_up = true" in summary
 
     def test_snapshots_written(self, tmp_path):
         cfg = SIM_CFG + "output.snapshot_every = 25\n"

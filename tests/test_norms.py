@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capflow import expr as expr_mod
 from capflow.norms import (
+    DUAL_MAX_ITER,
     DUAL_TOL,
+    DualSolveError,
     ExpressionNorm,
     NormError,
     QUARTIC_A2_TEXT,
     QuarticGaugeNorm,
     fibonacci_sphere,
     make_norm,
+    metric_solve,
     random_directions,
 )
 
@@ -202,3 +207,147 @@ class TestCatalogue:
         assert norm.d == 4
         res = norm.support(np.array([0.0, 0.0, 0.0, 2.0]))
         assert res.value == pytest.approx(2.0, abs=1e-12)
+
+
+# -- property tests of the eliminated Newton step ----------------------------
+
+SOLVE_NORMS = {
+    "quartic_a2": A2,
+    "quartic_a2_prime": make_norm("quartic_a2_prime"),
+    "quartic_a3": make_norm("quartic_a3", [0.3]),
+    "custom": make_norm("custom", f0_expr=QUARTIC_A2_TEXT),
+    "custom_d4": make_norm(
+        "custom", f0_expr="((x^2+y^2+z^2+w^2)*(x^2+y^2+z^2)+w^4)^(1/4)", dim=4
+    ),
+}
+# polar angle from the vertical axis: near either pole, near the rim, anywhere
+POLAR = st.one_of(
+    st.floats(0.0, 1e-4),
+    st.floats(np.pi / 2 - 1e-4, np.pi / 2 + 1e-4),
+    st.floats(np.pi - 1e-4, np.pi),
+    st.floats(0.0, np.pi),
+)
+DIRECTION = st.tuples(POLAR, st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))
+
+
+def direction(angles, d):
+    """Point of the unit sphere in R^d; the last coordinate is the vertical."""
+    polar, mid, azimuth = angles
+    horizontal = np.array([np.cos(azimuth), np.sin(azimuth)])
+    if d == 4:
+        horizontal = np.append(np.sin(mid) * horizontal, np.cos(mid))
+    return np.append(np.sin(polar) * horizontal, np.cos(polar))
+
+
+def bordered_support(norm, x, tol=DUAL_TOL):
+    """Reference for one direction: damped Newton on the bordered system
+
+        [ -s Hess  -Dgauge ] [dz]      [ x - s Dgauge ]
+        [ Dgauge^T    0    ] [ds] = -  [  gauge - 1   ]
+    """
+    d = x.size
+    z = x / norm.f0(x)
+    s = float(x @ z)
+    scale = max(1.0, float(np.linalg.norm(x)))
+
+    def residual(z, s):
+        jet = norm.gauge_jets(z[None, :], order=2)
+        r = np.append(x - s * jet.grad[0], jet.val[0] - 1.0)
+        return jet, r, np.linalg.norm(r) / scale
+
+    jet, r, rnorm = residual(z, s)
+    for _ in range(DUAL_MAX_ITER):
+        if rnorm <= tol:
+            break
+        jac = np.zeros((d + 1, d + 1))
+        jac[:d, :d] = -s * jet.hess[0]
+        jac[:d, d] = -jet.grad[0]
+        jac[d, :d] = jet.grad[0]
+        delta = np.linalg.solve(jac, -r)
+        step = 1.0
+        for _ in range(30):
+            with np.errstate(all="ignore"):
+                trial = residual(z + step * delta[:d], s + step * delta[d])
+            if np.isfinite(trial[2]) and trial[2] <= rnorm:
+                break
+            step *= 0.5
+        z, s = z + step * delta[:d], s + step * delta[d]
+        jet, r, rnorm = trial
+    return s, z
+
+
+class TestEliminatedSolve:
+    @given(
+        kind=st.sampled_from(sorted(SOLVE_NORMS)),
+        angles=st.lists(DIRECTION, min_size=1, max_size=6),
+        length=st.floats(0.5, 4.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_maximizer_identities_and_bordered_reference(self, kind, angles, length):
+        norm = SOLVE_NORMS[kind]
+        xs = length * np.array([direction(a, norm.d) for a in angles])
+        s, z, _, ok = norm.support_many(xs)
+        assert np.all(ok)
+        jets = norm.gauge_jets(z, order=2)
+        # the solve stops once |(r_x, r_g)| <= DUAL_TOL * max(1, |x|)
+        tol = DUAL_TOL * max(1.0, length)
+        r_x = xs - s[:, None] * jets.grad
+        assert np.abs(jets.val - 1.0).max() <= tol
+        assert np.linalg.norm(r_x, axis=1).max() <= tol
+        # <x, z> - s = <r_x, z> + s * r_g by Euler's identity <Dgauge(z), z> = gauge(z)
+        gap = np.abs(s - np.einsum("ni,ni->n", xs, z))
+        assert np.all(gap <= tol * (np.linalg.norm(z, axis=1) + s))
+        for x, s_i, z_i in zip(xs, s, z):
+            s_ref, z_ref = bordered_support(norm, x)
+            assert abs(s_i - s_ref) <= tol
+            assert np.abs(z_i - z_ref).max() <= tol
+
+    @given(
+        kind=st.sampled_from(sorted(SOLVE_NORMS)),
+        angles=st.lists(DIRECTION, min_size=1, max_size=6),
+        shift=st.floats(-0.05, 0.05),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_given_warm_jets_change_nothing(self, kind, angles, shift):
+        norm = SOLVE_NORMS[kind]
+        xs = np.array([direction(a, norm.d) for a in angles])
+        _, z, _, _ = norm.support_many(xs)
+        z0 = z * (1.0 + shift) + shift * np.roll(z, 1, axis=1)
+        jets0 = norm.gauge_jets(z0, order=2)
+        given_jets = norm.support_many(xs, z0=z0, jets0=jets0)
+        recomputed = norm.support_many(xs, z0=z0)
+        for a, b in zip(given_jets, recomputed):
+            assert np.array_equal(a, b)
+        # the caller's jets are not modified
+        assert np.array_equal(jets0.grad, norm.gauge_jets(z0, order=2).grad)
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 20))
+    @settings(max_examples=50, deadline=None)
+    def test_closed_form_matches_lapack_on_spd(self, seed, count):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((count, 3, 3))
+        g_mat = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        rhs = rng.standard_normal((count, 3, 2))
+        got = metric_solve(g_mat, rhs)
+        want = np.linalg.solve(g_mat, rhs)
+        bound = 1e-12 * np.linalg.cond(g_mat)[:, None, None] * np.abs(want).max()
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_singular_or_nonfinite_metric_raises(self, d):
+        good = np.broadcast_to(np.eye(d), (2, d, d)).copy()
+        rhs = np.ones((2, d, 1))
+        rank_one = good.copy()
+        rank_one[1] = np.outer(np.arange(1.0, d + 1), np.arange(1.0, d + 1))
+        with pytest.raises(DualSolveError):
+            metric_solve(rank_one, rhs)
+        not_finite = good.copy()
+        not_finite[0, 0, 1] = not_finite[0, 1, 0] = np.nan
+        with pytest.raises(DualSolveError):
+            metric_solve(not_finite, rhs)
+
+    def test_singular_metric_in_the_solve_raises(self):
+        # at an axis point of the l4 ball the Hessian vanishes and G is rank one
+        norm = make_norm("custom", f0_expr="(x^4+y^4+z^4)^(1/4)")
+        with pytest.raises(DualSolveError):
+            norm.support_many(np.array([[1.0, 0.1, 0.0]]), z0=np.array([[1.0, 0.0, 0.0]]))
