@@ -204,9 +204,11 @@ def cmd_simulate(config_path: str) -> int:
     trace.to_csv(os.path.join(out, "trace.csv"))
     _write_summary(os.path.join(out, "summary.txt"), trace)
     if trace.blow_up:
-        print("blow-up: partial trace written", file=sys.stderr)
+        print(f"run stopped: {trace.stop_reason}; partial trace written",
+              file=sys.stderr)
         return EXIT_BLOWUP
-    print(f"converged = {str(trace.converged).lower()}  steps = {trace.steps}")
+    print(f"converged = {str(trace.converged).lower()}  steps = {trace.steps}"
+          f"  stop_reason = {trace.stop_reason}")
     return EXIT_OK
 
 
@@ -219,6 +221,7 @@ def _write_summary(path: str, trace: FlowTrace) -> None:
     lines = [
         f"converged = {str(trace.converged).lower()}",
         f"blow_up = {str(trace.blow_up).lower()}",
+        f"stop_reason = {trace.stop_reason}",
         f"steps = {trace.steps}",
         f"final_t = {last.get('t', float('nan')):.9g}",
         f"final_supF = {last.get('supF', float('nan')):.6g}",

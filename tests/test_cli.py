@@ -122,12 +122,50 @@ class TestSimulate:
                 return super().support_many(*args, **kwargs)
 
         monkeypatch.setattr(cli, "make_norm", lambda *a, **k: FailingSphere(np.eye(3)))
-        path = write(tmp_path, "fail.cfg", SIM_CFG)
+        path = write(tmp_path, "fail.cfg", SIM_CFG + "flow.t_end = 0.1\n")
         assert main(["simulate", path]) == 3
         trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert len(trace) >= 3  # header plus the records at steps 0 and 20
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "blow_up = true" in summary
+
+    def test_failed_run_keeps_last_good_state(self, tmp_path, monkeypatch, capsys):
+        class SolveFailsAtCall(QuadraticNorm):
+            calls = 0
+
+            def support_many(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls > 130:
+                    raise DualSolveError("singular dual system")
+                return super().support_many(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_norm",
+                            lambda *a, **k: SolveFailsAtCall(np.eye(3)))
+        path = write(tmp_path, "fail.cfg", SIM_CFG + "flow.t_end = 0.1\n")
+        assert main(["simulate", path]) == 3
+        assert "DualSolveError: singular dual system" in capsys.readouterr().err
+        summary = dict(
+            line.split(" = ", 1)
+            for line in (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        )
+        assert summary["stop_reason"] == "DualSolveError: singular dual system"
+        steps = int(summary["steps"])
+        assert steps > 20
+        rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
+        # dt is fixed between the 20-step refreshes, and the record at step 20
+        # holds the dt of steps 21 onwards
+        t20, dt20 = (float(v) for v in rows[1].split(",")[:2])
+        expected = t20 + (steps - 20) * dt20
+        assert float(summary["final_t"]) == pytest.approx(expected, rel=1e-8)
+        assert float(rows[-1].split(",")[0]) == pytest.approx(expected, rel=1e-9)
+        assert summary["r0"] != "nan"
+
+    def test_stop_reason_of_a_finished_run(self, tmp_path, capsys):
+        path = write(tmp_path, "sim.cfg", SIM_CFG)
+        assert main(["simulate", path]) == 0
+        assert "stop_reason = t_end" in capsys.readouterr().out
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "stop_reason = t_end" in summary
 
     def test_snapshots_written(self, tmp_path):
         cfg = SIM_CFG + "output.snapshot_every = 25\n"

@@ -1,11 +1,16 @@
 """Time stepping, boundary solve, monitors, and failure paths."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capflow.flow import (
     FlowConfig,
     FlowError,
+    ImplicitDiffusion,
     TRACE_COLUMNS,
     boundary_enforce,
     cfl_dt,
@@ -115,6 +120,75 @@ class TestStepping:
         assert np.allclose(filtered[-1], rhs[-1], atol=1e-13)
 
 
+def dense_laplacian(grid: HalfSphereGrid) -> np.ndarray:
+    """5-point round Laplacian in real space: the pole node, then rings 1..n_beta."""
+    nb, nl = grid.n_beta, grid.n_lambda
+    db2, dl2 = grid.dbeta**2, grid.dlam**2
+    size = 1 + nb * nl
+    lap = np.zeros((size, size))
+
+    def node(i, j):
+        if i == 0:
+            return 0
+        if i == nb + 1:
+            i = nb - 1  # reflective rim closure
+        return 1 + (i - 1) * nl + j % nl
+
+    lap[0, 0] = -4.0 / db2
+    lap[0, 1 : 1 + nl] += 4.0 / (db2 * nl)  # ring mean of row 1
+    for i in range(1, nb + 1):
+        beta = grid.betas[i]
+        cot, s2 = np.cos(beta) / np.sin(beta), np.sin(beta) ** 2
+        for j in range(nl):
+            k = node(i, j)
+            lap[k, node(i + 1, j)] += 1.0 / db2 + cot / (2 * grid.dbeta)
+            lap[k, node(i - 1, j)] += 1.0 / db2 - cot / (2 * grid.dbeta)
+            lap[k, node(i, j + 1)] += 1.0 / (dl2 * s2)
+            lap[k, node(i, j - 1)] += 1.0 / (dl2 * s2)
+            lap[k, k] -= 2.0 / db2 + 2.0 / (dl2 * s2)
+    return lap
+
+
+class TestImplicitDiffusion:
+    GRID = HalfSphereGrid(2, 16, 32)
+    LAPLACIAN = dense_laplacian(GRID)
+
+    def increment(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1.0, 1.0, (self.GRID.n_beta + 1, self.GRID.n_lambda))
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(1e-6, 0.05))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_real_space_solve(self, seed, c):
+        grid = self.GRID
+        delta = self.increment(seed)
+        delta[0] = delta[0, 0]  # the pole is one node
+        x = np.linalg.solve(np.eye(len(self.LAPLACIAN)) - c * self.LAPLACIAN,
+                            np.concatenate(([delta[0, 0]], delta[1:].ravel())))
+        got = ImplicitDiffusion(grid, c).solve(delta)
+        assert np.abs(got[0] - x[0]).max() <= 1e-12
+        assert np.abs(got[1:].ravel() - x[1:]).max() <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_max_norm_never_increases(self, seed, c):
+        delta = self.increment(seed) * np.exp(seed % 7 - 3)
+        got = ImplicitDiffusion(self.GRID, c).solve(delta)
+        assert np.abs(got).max() <= np.abs(delta).max() * (1.0 + 1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(1e-6, 1.0))
+    @settings(max_examples=20, deadline=None)
+    def test_pole_row_has_no_azimuthal_modes(self, seed, c):
+        got = ImplicitDiffusion(self.GRID, c).solve(self.increment(seed))
+        assert np.abs(np.fft.rfft(got[0])[1:]).max() <= 1e-13
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_zero_coefficient_is_explicit(self, seed):
+        delta = self.increment(seed)
+        assert ImplicitDiffusion(self.GRID, 0.0).solve(delta) is delta
+
+
 class TestRun:
     def test_exact_cap_converges_immediately(self):
         cfg = FlowConfig(norm=SPHERE, omega0=-0.5, n_beta=32, n_lambda=64,
@@ -128,6 +202,17 @@ class TestRun:
         trace, _ = run(cfg)
         assert trace.blow_up
         assert len(trace.records) >= 1
+
+    def test_dt_override_above_explicit_bound_warns(self):
+        cfg = FlowConfig(norm=SPHERE, omega0=0.0, n_beta=32, n_lambda=64,
+                         t_end=1.0, dt_override=0.5)
+        with pytest.warns(RuntimeWarning, match="explicit step bound"):
+            run(cfg)
+        cfg.dt_override, cfg.t_end = 1e-5, 3e-5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, _ = run(cfg)
+        assert trace.steps == 3 and trace.stop_reason == "t_end"
 
     def test_short_run_monitors(self):
         cfg = FlowConfig(norm=SPHERE, omega0=-0.5, n_beta=32, n_lambda=64,
