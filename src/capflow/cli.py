@@ -21,6 +21,7 @@ import numpy as np
 from .condition import ConditionError, condition_check
 from .expr import EvalDomainError, ExprError
 from .flow import (
+    INITIAL_PRESETS,
     BlowUpError,
     FlowConfig,
     FlowError,
@@ -83,6 +84,16 @@ CONFIG_KEYS = {
 }
 # counts that must be at least 1
 POSITIVE_KEYS = ("flow.record_every", "condition.samples")
+# simulate keys and the FlowConfig fields they set; FlowConfig holds the
+# defaults and checks the ranges
+FLOW_FIELDS = {
+    "grid.n_beta": "n_beta", "grid.n_lambda": "n_lambda",
+    "flow.cfl_sigma": "cfl_sigma", "flow.t_end": "t_end",
+    "flow.convergence_tol": "convergence_tol", "flow.boundary_tol": "boundary_tol",
+    "flow.record_every": "record_every", "output.snapshot_every": "snapshot_every",
+    "flow.epsilon": "epsilon", "flow.seed": "seed", "flow.initial": "initial",
+    "flow.dt_override": "dt_override",
+}
 
 
 def _parse_value(key: str, raw: str, base_dir: str):
@@ -174,25 +185,16 @@ def _output_dir(cfg: dict, config_path: str) -> str:
 def cmd_simulate(config_path: str) -> int:
     cfg = parse_config(config_path)
     norm = build_norm(cfg)
+    if norm.d != 3:
+        raise ConfigError("simulate runs the flow of surfaces in R^3: norm.dim must be 3")
     omega0 = _require_omega0(cfg, norm)
     out = _output_dir(cfg, config_path)
+    if "flow.initial" in cfg and cfg["flow.initial"] not in INITIAL_PRESETS:
+        raise ConfigError(f"flow.initial must be one of {', '.join(INITIAL_PRESETS)}")
     try:
         flow_cfg = FlowConfig(
-            norm=norm,
-            omega0=omega0,
-            n_beta=cfg.get("grid.n_beta", 64),
-            n_lambda=cfg.get("grid.n_lambda", 128),
-            cfl_sigma=cfg.get("flow.cfl_sigma", 0.4),
-            t_end=cfg.get("flow.t_end", 10.0),
-            convergence_tol=cfg.get("flow.convergence_tol", 1e-2),
-            boundary_tol=cfg.get("flow.boundary_tol", 1e-8),
-            record_every=cfg.get("flow.record_every", 25),
-            snapshot_every=cfg.get("output.snapshot_every", 0),
-            epsilon=cfg.get("flow.epsilon", 0.1),
-            seed=cfg.get("flow.seed", 42),
-            initial=cfg.get("flow.initial", "perturbed-cap"),
-            dt_override=cfg.get("flow.dt_override"),
-            output_dir=out,
+            norm=norm, omega0=omega0, output_dir=out,
+            **{name: cfg[key] for key, name in FLOW_FIELDS.items() if key in cfg},
         )
     except FlowError as exc:
         raise ConfigError(str(exc)) from exc
@@ -254,7 +256,6 @@ def cmd_check_condition(config_path: str) -> int:
         f"satisfied = {str(report.satisfied).lower()}",
         f"min_margin = {report.min_margin:.9g}",
         f"min_margin_translated = {report.min_margin_translated:.9g}",
-        f"min_margin_opposite = {report.min_margin_opposite:.9g}",
         f"both_forms_agree = {str(report.both_forms_agree).lower()}",
         f"degenerate_samples = {report.degenerate_count}",
     ]

@@ -9,7 +9,7 @@ for the largest admissible parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class ConditionReport:
     satisfied: bool = False
     both_forms_agree: bool = True
     min_margin_translated: float = np.inf
-    min_margin_opposite: float = np.inf
     degenerate_count: int = 0
 
 
@@ -208,15 +207,11 @@ def condition_check(
         plane_dirs = np.pad(fibonacci_sphere(slice_samples), ((0, 0), (0, 1)))
     fr, g_mat, q_ten = slice_frames(norm, omega0, plane_dirs)
     m = condition_margins(omega0, fr, g_mat, q_ten)
-    # margin under the opposite co-normal orientation, reported to expose
-    # convention sensitivity
-    m_opp = condition_margins(omega0, replace(fr, mu=-fr.mu, af_mu=-fr.af_mu), g_mat, q_ten)
     y = fr.tangents[:, 0]
     report.samples = [
         {"z": zi, "Y": yi, "margin": float(mi)} for zi, yi, mi in zip(fr.z, y, m)
     ]
     report.min_margin = float(np.min(m, initial=np.inf))
-    report.min_margin_opposite = float(np.min(m_opp, initial=np.inf))
     report.degenerate_count = int(np.count_nonzero(fr.degenerate))
     if tn is not None:
         mt = -tn.transfer_G_Q_many(fr.z, y, y, fr.af_mu)[1]

@@ -65,10 +65,22 @@ class FlowConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.cfl_sigma < 1.0:
-            raise FlowError("cfl_sigma must lie in (0, 1)")
-        if self.n_beta < 16 or self.n_lambda < 16:
-            raise FlowError("grid sizes must be at least 16")
+        # written so that NaN fails every check; |epsilon| < 1 keeps 1 + eps*P > 0
+        for ok, msg in (
+            (0.0 < self.cfl_sigma < 1.0, "cfl_sigma must lie in (0, 1)"),
+            (self.n_beta >= 16 and self.n_lambda >= 16, "grid sizes must be at least 16"),
+            (self.t_end > 0.0, "t_end must be positive"),
+            (self.convergence_tol > 0.0, "convergence_tol must be positive"),
+            (self.boundary_tol > 0.0, "boundary_tol must be positive"),
+            (self.record_every >= 1, "record_every must be at least 1"),
+            (self.snapshot_every >= 0, "snapshot_every must not be negative"),
+            (abs(self.epsilon) < 1.0, "epsilon must lie in (-1, 1)"),
+            (self.seed >= 0, "seed must not be negative"),
+            (self.dt_override is None or self.dt_override > 0.0,
+             "dt_override must be positive"),
+        ):
+            if not ok:
+                raise FlowError(msg)
 
 
 TRACE_COLUMNS = (
@@ -129,6 +141,9 @@ def perturbation_field(grid: HalfSphereGrid, epsilon: float, seed: int) -> np.nd
     return 1.0 + epsilon * p
 
 
+INITIAL_PRESETS = ("perturbed-cap", "cap")
+
+
 def initial_surface(config: FlowConfig, anchor: AnchorVector) -> GraphSurface:
     grid = HalfSphereGrid(2, config.n_beta, config.n_lambda)
     shape = CapillaryWulffShape(config.norm, 1.0, config.omega0, anchor)
@@ -162,15 +177,14 @@ def boundary_enforce(
     grid = surface.grid
     if grid.n != 2:
         raise FlowError("boundary enforcement is for n = 2")
-    nb = grid.n_beta
+    nb, nl = grid.n_beta, grid.n_lambda
     db, dl = grid.dbeta, grid.dlam
-    lam = grid.lambdas
     row = surface.phi[nb]
     inner = surface.phi[nb - 1]
-    p_l = (np.roll(row, -1) - np.roll(row, 1)) / (2 * dl)
-    u = np.stack([np.cos(lam), np.sin(lam), np.zeros_like(lam)], axis=1)
-    e2 = np.stack([-np.sin(lam), np.cos(lam), np.zeros_like(lam)], axis=1)
-    horizontal = u - p_l[:, None] * e2
+    ext = np.concatenate((row[-1:], row, row[:1]))
+    p_l = (ext[2:] - ext[:-2]) / (2 * dl)
+    # the frame of the boundary ring; w[:, 2] is set per iterate below
+    horizontal = grid.frame_u[-nl:] - p_l[:, None] * grid.frame_e2[-nl:]
     ghost = surface.phi[nb + 1].copy()
     z = warm_state.get("z") if warm_state else None
     jets = warm_state.get("jets") if warm_state else None
@@ -191,9 +205,8 @@ def boundary_enforce(
         if res <= tol:
             break
         # d psi / d ghost through the support Hessian acting on E_up
-        hess = norm.support_hessian_many(w, maximizers=z, jets=jets)
-        dpsi = -hess[:, 2, 2] / (2 * db)
-        if np.any(dpsi == 0.0):
+        dpsi = -support_hessian_zz(norm, w, z, jets) / (2 * db)
+        if not np.all(np.isfinite(dpsi) & (dpsi != 0.0)):
             raise FlowError("degenerate boundary Newton derivative")
         ghost = ghost - psi / dpsi
     else:
@@ -206,6 +219,19 @@ def boundary_enforce(
     return res
 
 
+def support_hessian_zz(norm: Norm, w: np.ndarray, z: np.ndarray, jets) -> np.ndarray:
+    """[D^2 support]_{33} at directions w (d = 3), maximizers z, jets at z:
+    the last entry of (I - z Dgauge^T) G^-1 / <w, z>, from the third column
+    of the adjugate of G alone."""
+    G = norm.metric_G_many(z, jets=jets)
+    a, b, c, d, e, f = (G[:, i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    adj = (b * e - c * d, b * c - a * e, a * d - b * b)
+    det = c * adj[0] + e * adj[1] + f * adj[2]
+    grad_adj = jets.grad[:, 0] * adj[0] + jets.grad[:, 1] * adj[1] + jets.grad[:, 2] * adj[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (adj[2] - z[:, 2] * grad_adj) / (det * np.einsum("ni,ni->n", w, z))
+
+
 def polar_filter(rhs: np.ndarray, grid: HalfSphereGrid) -> np.ndarray:
     """Damp unresolvable azimuthal modes on the rings next to the pole.
 
@@ -214,18 +240,13 @@ def polar_filter(rhs: np.ndarray, grid: HalfSphereGrid) -> np.ndarray:
     the standard spectral fix for the lat-long time-step restriction; it
     leaves resolved content untouched.
     """
-    nb, nl = grid.n_beta, grid.n_lambda
-    sin_b = np.sin(grid.betas[1:])
-    cutoff_rows = np.nonzero(sin_b * grid.dlam < grid.dbeta)[0]
-    if cutoff_rows.size == 0:
+    rows = len(grid.polar_mask)
+    if rows == 0:
         return rhs
-    spec = np.fft.rfft(rhs[cutoff_rows], axis=1)
-    m = np.arange(spec.shape[1])
-    for idx, i in enumerate(cutoff_rows):
-        m_max = max(2, int(np.pi * sin_b[i] / grid.dbeta))
-        spec[idx, m > m_max] = 0.0
+    spec = np.fft.rfft(rhs[:rows], axis=1)
+    spec[grid.polar_mask] = 0.0
     rhs = rhs.copy()
-    rhs[cutoff_rows] = np.fft.irfft(spec, nl, axis=1)
+    rhs[:rows] = np.fft.irfft(spec, grid.n_lambda, axis=1)
     return rhs
 
 
@@ -247,11 +268,15 @@ def cfl_dt(grid: HalfSphereGrid, diffusion_max: float, cfl_sigma: float) -> floa
 STABILIZED_C = 0.27
 
 
-def time_step(grid: HalfSphereGrid, diffusion_max: float,
-              cfl_sigma: float) -> tuple[float, "ImplicitDiffusion"]:
-    """Stabilized step size and its implicit solve with A = diffusion_max."""
-    dt = cfl_dt(grid, diffusion_max, cfl_sigma) * STABILIZED_C / grid.dbeta
-    return dt, ImplicitDiffusion(grid, dt * diffusion_max)
+def time_step(grid: HalfSphereGrid, diffusion_max: float, cfl_sigma: float) -> float:
+    """Stabilized step size dt = cfl_dt * C / dbeta at A = diffusion_max."""
+    return cfl_dt(grid, diffusion_max, cfl_sigma) * STABILIZED_C / grid.dbeta
+
+
+def stabilized_diffusion(grid: HalfSphereGrid, cfl_sigma: float) -> "ImplicitDiffusion":
+    """Implicit solve of the stabilized step.  Its coefficient dt * A =
+    sigma * C * dbeta / (2 n) does not depend on A, so one serves a whole run."""
+    return ImplicitDiffusion(grid, cfl_sigma * STABILIZED_C * grid.dbeta / (2.0 * grid.n))
 
 
 class ImplicitDiffusion:
@@ -316,16 +341,18 @@ def step(
 ) -> tuple[GraphSurface, float, GeometryBundle]:
     """One stabilized semi-implicit step; returns the new surface, dt and bundle.
 
-    With dt None the step size and the implicit solve come from time_step at
-    the bundle's diffusion bound.  A given dt uses the given diffusion solve,
-    and without one it is a forward-Euler step (A = 0).  The dual solve
-    starts warm from bundle; warm_state goes to boundary_enforce.
+    With dt None the step size comes from time_step at the bundle's
+    diffusion bound and the implicit solve from stabilized_diffusion.  A
+    given dt uses the given diffusion solve, and without one it is a
+    forward-Euler step (A = 0).  The dual solve starts warm from bundle;
+    warm_state goes to boundary_enforce.
     """
     if bundle is None:
         bundle = geometry(surface, norm, omega0, anchor)
     grid = surface.grid
     if dt is None:
-        dt, diffusion = time_step(grid, bundle.diffusion_max, cfl_sigma)
+        dt = time_step(grid, bundle.diffusion_max, cfl_sigma)
+        diffusion = stabilized_diffusion(grid, cfl_sigma)
     if dt < 1e-12:
         raise FlowError("time step underflow")
     new = surface.copy()
@@ -401,7 +428,8 @@ def run(config: FlowConfig):
         geometry(GraphSurface.from_wulff(grid, unit_shape), norm, omega0, anchor)
     )
     if config.dt_override is None:
-        dt, diffusion = time_step(grid, bundle.diffusion_max, config.cfl_sigma)
+        dt = time_step(grid, bundle.diffusion_max, config.cfl_sigma)
+        diffusion = stabilized_diffusion(grid, config.cfl_sigma)
     else:
         dt, diffusion = config.dt_override, ImplicitDiffusion(grid, 0.0)
         bound = cfl_dt(grid, bundle.diffusion_max, config.cfl_sigma)
@@ -478,7 +506,7 @@ def run(config: FlowConfig):
             )
             trace.steps += 1
             if trace.steps % 20 == 0 and config.dt_override is None:
-                dt, diffusion = time_step(grid, bundle.diffusion_max, config.cfl_sigma)
+                dt = time_step(grid, bundle.diffusion_max, config.cfl_sigma)
             if trace.steps % config.record_every == 0:
                 record(bundle, dt)
         else:

@@ -10,6 +10,7 @@ the speed field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -55,6 +56,20 @@ class HalfSphereGrid:
             w[0] = 1.0 - np.cos(half)
             w[-1] = np.cos(0.5 * np.pi - half)
             self.ring_weights = w
+            # per-ring trigonometry and the orthonormal frame (u, e1, e2) of
+            # rings 1..n_beta, the frame flattened over the nodes
+            beta, lam = self.betas[1:, None], self.lambdas[None, :]
+            sb, cb = np.sin(beta), np.cos(beta)
+            self.sin_b, self.cot_b, self.sin2_b = sb, cb / sb, sb**2
+            cl, sl, zero = np.cos(lam), np.sin(lam), 0 * sb * lam
+            self.frame_u, self.frame_e1, self.frame_e2 = (
+                np.stack([x + zero, y + zero, z + zero], axis=-1).reshape(-1, 3)
+                for x, y, z in ((sb * cl, sb * sl, cb), (cb * cl, cb * sl, -sb), (-sl, cl, 0.0)))
+            # azimuthal modes beyond ~pi sin(beta)/dbeta are unresolved on the
+            # rings whose spacing sin(beta)*dlam is below dbeta (a prefix)
+            sin_r = sb[:, 0][sb[:, 0] * self.dlam < self.dbeta]
+            m_max = np.maximum(2, (np.pi * sin_r / self.dbeta).astype(int))
+            self.polar_mask = np.arange(n_lambda // 2 + 1) > m_max[:, None]
         else:
             self.n_lambda2 = n_lambda2 if n_lambda2 is not None else n_lambda
             self.dbeta = 0.5 * np.pi / n_beta
@@ -166,12 +181,21 @@ class GraphSurface:
         return self.phi
 
 
+def _sym2(parts: dict, names: str, scale=1.0) -> np.ndarray:
+    """(N, 2, 2) symmetric matrices from the component arrays parts[x11/x12/x22]."""
+    a11, a12, a22 = (scale * parts[names + k] for k in ("11", "12", "22"))
+    return np.stack([a11, a12, a12, a22], axis=1).reshape(-1, 2, 2)
+
+
 @dataclass
 class GeometryBundle:
     """Pointwise geometry over the geometry nodes, plus grid bookkeeping.
 
     All fields are flattened over the geometry nodes; `shape` restores the
-    lattice layout.
+    lattice layout.  The fields a step reads come with the bundle; the
+    record-time fields, the cached properties below, are computed on first
+    access from `parts`, the n = 2 component arrays.  For n = 3 geometry
+    fills them directly.
     """
 
     surface: GraphSurface
@@ -179,27 +203,65 @@ class GeometryBundle:
     omega0: float
     anchor: AnchorVector
     shape: tuple
-    X: np.ndarray
     nu: np.ndarray
     v: np.ndarray
     rho: np.ndarray
     F: np.ndarray
     nu_F: np.ndarray
     u_hat: np.ndarray
-    u_bar: np.ndarray
     pairing: np.ndarray       # G(nu_F)(nu_F, E^F) = <nu, E^F>/F(nu)
-    g: np.ndarray             # induced metric, orthonormal sphere frame
-    h: np.ndarray             # second fundamental form, same frame
-    ghat: np.ndarray
-    hhat: np.ndarray
-    kappaF: np.ndarray        # (N, n) anisotropic principal curvatures
-    Hk: np.ndarray            # (N, n+1) normalized symmetric functions
     HF: np.ndarray            # sum of kappaF
     f: np.ndarray             # flow speed
-    area_el: np.ndarray       # rho^n * v (per unit round measure)
-    diffusion_max: float
     maximizers: np.ndarray
     maximizer_jets: Jet       # order-2 gauge jets at the maximizers
+    parts: dict | None = None
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        return self.rho[:, None] * self.surface.grid.frame_u
+
+    @cached_property
+    def u_bar(self) -> np.ndarray:
+        return self.u_hat / (1.0 + self.omega0 * self.pairing)
+
+    @cached_property
+    def g(self) -> np.ndarray:  # induced metric, orthonormal sphere frame
+        return _sym2(self.parts, "q", self.rho**2)  # rho^2 (I + p p^T)
+
+    @cached_property
+    def h(self) -> np.ndarray:  # second fundamental form, same frame
+        return _sym2(self.parts, "h")
+
+    @cached_property
+    def ghat(self) -> np.ndarray:
+        return _sym2(self.parts, "ghat")
+
+    @cached_property
+    def hhat(self) -> np.ndarray:
+        return self.h / self.F[:, None, None]
+
+    @cached_property
+    def kappaF(self) -> np.ndarray:  # (N, n) anisotropic principal curvatures
+        a, b, hh = self.parts["a"], self.parts["b"], self.hhat
+        c = hh[:, 0, 0] * hh[:, 1, 1] - hh[:, 0, 1] ** 2
+        disc = np.sqrt(np.maximum(b**2 - 4.0 * a * c, 0.0))
+        return np.stack([(b - disc) / (2 * a), (b + disc) / (2 * a)], axis=1)
+
+    @cached_property
+    def Hk(self) -> np.ndarray:  # (N, n+1) normalized symmetric functions
+        return _elementary_symmetric(self.kappaF)
+
+    @cached_property
+    def area_el(self) -> np.ndarray:  # rho^n * v (per unit round measure)
+        return self.rho**2 * self.v
+
+    @cached_property
+    def diffusion_max(self) -> float:
+        # explicit-step diffusion bound: linearizing the speed in the frame
+        # second derivatives of phi gives the matrix u_hat * ghat^{-1}
+        tr = self.parts["ghat11"] + self.parts["ghat22"]
+        lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * self.parts["a"], 0.0)))
+        return float(np.max(self.u_hat / lam_min))
 
     def field(self, name: str) -> np.ndarray:
         return getattr(self, name).reshape(self.shape)
@@ -214,40 +276,25 @@ class GeometryBundle:
         return np.sum((self.kappaF - mean[:, None]) ** 2, axis=1)
 
 
-def _frame_data_n2(surface: GraphSurface):
-    """Derivatives of phi on rings 1..n_beta in the orthonormal frame."""
+def _stencils_n2(surface: GraphSurface):
+    """rho and the frame derivatives f1, f2, H11, H12, H22 of phi on rings
+    1..n_beta (covariant Hessian on the round sphere), flattened."""
     grid = surface.grid
-    nb, nl = grid.n_beta, grid.n_lambda
-    db, dl = grid.dbeta, grid.dlam
+    nb, db, dl = grid.n_beta, grid.dbeta, grid.dlam
     phi = surface.phi
-    rows = phi[1 : nb + 1]
-    up = phi[2 : nb + 2]
-    down = phi[0:nb]
-    p_b = (up - down) / (2 * db)
-    p_bb = (up - 2 * rows + down) / db**2
-    p_l = (np.roll(rows, -1, axis=1) - np.roll(rows, 1, axis=1)) / (2 * dl)
-    p_ll = (np.roll(rows, -1, axis=1) - 2 * rows + np.roll(rows, 1, axis=1)) / dl**2
-    p_bl = (np.roll(up, -1, axis=1) - np.roll(up, 1, axis=1)
-            - np.roll(down, -1, axis=1) + np.roll(down, 1, axis=1)) / (4 * db * dl)
-    beta = grid.betas[1:][:, None]
-    sb, cb = np.sin(beta), np.cos(beta)
-    cot = cb / sb
-    # frame derivatives and the covariant Hessian on the round sphere
-    f1 = p_b
-    f2 = p_l / sb
-    H11 = p_bb
-    H12 = (p_bl - cot * p_l) / sb
-    H22 = p_ll / sb**2 + cot * p_b
-    grad = np.stack([f1, f2], axis=-1)
-    hess = np.stack(
-        [np.stack([H11, H12], axis=-1), np.stack([H12, H22], axis=-1)], axis=-2
-    )
-    lam = grid.lambdas[None, :]
-    u = np.stack([sb * np.cos(lam), sb * np.sin(lam), cb + 0 * lam], axis=-1)
-    e1 = np.stack([cb * np.cos(lam), cb * np.sin(lam), -sb + 0 * lam], axis=-1)
-    e2 = np.stack([-np.sin(lam) + 0 * sb, np.cos(lam) + 0 * sb, 0 * sb * lam], axis=-1)
-    frame = np.stack([e1, e2], axis=-2)
-    return rows, grad, hess, u, frame
+    # the lambda neighbours are column slices of one periodically padded copy
+    pad = np.concatenate((phi[:, -1:], phi, phi[:, :1]), axis=1)
+    up, rows, down = pad[2:], pad[1 : nb + 1], pad[:nb]
+    c, e, w = slice(1, -1), slice(2, None), slice(None, -2)
+    p_b = (up[:, c] - down[:, c]) / (2 * db)
+    p_bb = (up[:, c] - 2 * rows[:, c] + down[:, c]) / db**2
+    p_l = (rows[:, e] - rows[:, w]) / (2 * dl)
+    p_ll = (rows[:, e] - 2 * rows[:, c] + rows[:, w]) / dl**2
+    p_bl = (up[:, e] - up[:, w] - down[:, e] + down[:, w]) / (4 * db * dl)
+    sb, cot = grid.sin_b, grid.cot_b
+    derivs = (p_b, p_l / sb, p_bb, (p_bl - cot * p_l) / sb,
+              p_ll / grid.sin2_b + cot * p_b)
+    return np.exp(phi[1 : nb + 1]).ravel(), [a.ravel() for a in derivs]
 
 
 def _d1(a, axis, h):
@@ -339,7 +386,9 @@ def _frame_data_n3(surface: GraphSurface):
                    -s1 + zero, zero], axis=-1)
     e3 = np.stack([-np.sin(l2) + zero, np.cos(l2) + zero, zero, zero], axis=-1)
     frame = np.stack([e1, e2, e3], axis=-2)
-    return phi, f, hess, u, frame
+    # flattened over the nodes, as the geometry bundle stores them
+    return (phi.shape, np.exp(phi).ravel(), f.reshape(-1, 3), hess.reshape(-1, 3, 3),
+            u.reshape(-1, 4), frame.reshape(-1, 3, 4))
 
 
 def _elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
@@ -376,26 +425,20 @@ def geometry(
     if anchor is None:
         anchor = anchor_vector(norm, omega0)
     if n == 2:
-        rows, grad, hess, u, frame = _frame_data_n2(surface)
+        shape = (grid.n_beta, grid.n_lambda)
+        rho, (f1, f2, H11, H12, H22) = _stencils_n2(surface)
+        # a non-finite term makes the sum non-finite
+        if not np.all(np.isfinite(f1 + f2 + H11 + H12 + H22)):
+            raise SurfaceError("non-finite derivative (blow-up?)")
+        u, e1, e2 = grid.frame_u, grid.frame_e1, grid.frame_e2
+        v = np.sqrt(1.0 + (f1 * f1 + f2 * f2))
+        nu = (u - (f1[:, None] * e1 + f2[:, None] * e2)) / v[:, None]
     else:
-        rows, grad, hess, u, frame = _frame_data_n3(surface)
-    shape = rows.shape
-    N = rows.size
-    d = grid.d
-    rho = np.exp(rows).reshape(N)
-    p = grad.reshape(N, n)
-    H = hess.reshape(N, n, n)
-    u = u.reshape(N, d)
-    frame = frame.reshape(N, n, d)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(H))):
-        raise SurfaceError("non-finite derivative (blow-up?)")
-    v = np.sqrt(1.0 + np.sum(p**2, axis=1))
-    nu = (u - (p[:, :, None] * frame).sum(axis=1)) / v[:, None]
-    X = rho[:, None] * u
-    eye = np.eye(n)
-    outer_p = p[:, :, None] * p[:, None, :]
-    g = (rho**2)[:, None, None] * (eye + outer_p)
-    h = (rho / v)[:, None, None] * (eye + outer_p - H)
+        shape, rho, p, H, u, frame = _frame_data_n3(surface)
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(H))):
+            raise SurfaceError("non-finite derivative (blow-up?)")
+        v = np.sqrt(1.0 + np.sum(p**2, axis=1))
+        nu = (u - (p[:, :, None] * frame).sum(axis=1)) / v[:, None]
     z0, jets0 = (None, None) if warm is None else (warm.maximizers, warm.maximizer_jets)
     f_val, xi, _, ok, xi_jets = norm.support_many(
         nu, z0=z0, tol=dual_tol, return_jets=True, jets0=jets0
@@ -403,48 +446,56 @@ def geometry(
     if not np.all(ok):
         raise SurfaceError(f"dual solve failed at {int(np.sum(~ok))} nodes")
     G_xi = norm.metric_G_many(xi, jets=xi_jets)
-    # ambient coordinate tangents in the orthonormal sphere frame
-    T = rho[:, None, None] * (p[:, :, None] * u[:, None, :] + frame)
-    ghat = T @ G_xi @ T.transpose(0, 2, 1)
-    hhat = h / f_val[:, None, None]
+    u_hat = rho / (v * f_val)
+    pairing = (nu @ anchor.e_f) / f_val
+    denom = 1.0 + omega0 * pairing
     if n == 2:
-        a = ghat[:, 0, 0] * ghat[:, 1, 1] - ghat[:, 0, 1] ** 2
-        b = (hhat[:, 0, 0] * ghat[:, 1, 1] + hhat[:, 1, 1] * ghat[:, 0, 0]
-             - 2.0 * hhat[:, 0, 1] * ghat[:, 0, 1])
-        c = hhat[:, 0, 0] * hhat[:, 1, 1] - hhat[:, 0, 1] ** 2
-        disc = np.sqrt(np.maximum(b**2 - 4.0 * a * c, 0.0))
-        kappa = np.stack([(b - disc) / (2 * a), (b + disc) / (2 * a)], axis=1)
+        # ghat = T G T^T and hhat = h / F by components, with the ambient
+        # coordinate tangents T_i = rho (f_i u + e_i); HF = tr(ghat^-1 hhat)
+        T1 = rho[:, None] * (f1[:, None] * u + e1)
+        T2 = rho[:, None] * (f2[:, None] * u + e2)
+        GT2 = np.einsum("nij,nj->ni", G_xi, T2)
+        g11 = np.einsum("ni,ni->n", T1, np.einsum("nij,nj->ni", G_xi, T1))
+        g12 = np.einsum("ni,ni->n", T1, GT2)
+        g22 = np.einsum("ni,ni->n", T2, GT2)
+        s = rho / v
+        q11, q12, q22 = 1.0 + f1 * f1, f1 * f2, 1.0 + f2 * f2  # I + p p^T
+        h11, h12, h22 = s * (q11 - H11), s * (q12 - H12), s * (q22 - H22)
+        a = g11 * g22 - g12**2
+        b = (h11 * g22 + h22 * g11 - 2.0 * h12 * g12) / f_val
+        HF = b / a
+        parts = dict(q11=q11, q12=q12, q22=q22, h11=h11, h12=h12, h22=h22,
+                     ghat11=g11, ghat12=g12, ghat22=g22, a=a, b=b)
     else:
+        parts = None
+        eye = np.eye(n)
+        outer_p = p[:, :, None] * p[:, None, :]
+        # ambient coordinate tangents in the orthonormal sphere frame
+        T = rho[:, None, None] * (p[:, :, None] * u[:, None, :] + frame)
+        ghat = T @ G_xi @ T.transpose(0, 2, 1)
+        h = (rho / v)[:, None, None] * (eye + outer_p - H)
+        hhat = h / f_val[:, None, None]
         # eigenvalues in a ghat-orthonormal basis via Cholesky
         L = np.linalg.cholesky(ghat)
         Linv = np.linalg.inv(L)
         M = np.einsum("nab,nbc,ndc->nad", Linv, hhat, Linv)
         kappa = np.linalg.eigvalsh(M)
-    Hk = _elementary_symmetric(kappa)
-    HF = kappa.sum(axis=1)
-    u_hat = rho / (v * f_val)
-    pairing = (nu @ anchor.e_f) / f_val
-    denom = 1.0 + omega0 * pairing
-    u_bar = u_hat / denom
-    f_speed = n * denom - u_hat * HF
-    area_el = rho**n * v
-    # explicit-step diffusion bound: linearizing the speed in the frame
-    # second derivatives of phi gives the matrix u_hat * ghat^{-1}
-    if n == 2:
-        det = ghat[:, 0, 0] * ghat[:, 1, 1] - ghat[:, 0, 1] ** 2
-        tr = ghat[:, 0, 0] + ghat[:, 1, 1]
-        lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
-    else:
-        lam_min = np.linalg.eigvalsh(ghat)[:, 0]
-    diffusion_max = float(np.max(u_hat / lam_min))
-    return GeometryBundle(
+        HF = kappa.sum(axis=1)
+        lazy = dict(
+            X=rho[:, None] * u, u_bar=u_hat / denom, g=(rho**2)[:, None, None] * (eye + outer_p),
+            h=h, ghat=ghat, hhat=hhat, kappaF=kappa, Hk=_elementary_symmetric(kappa),
+            area_el=rho**n * v,
+            diffusion_max=float(np.max(u_hat / np.linalg.eigvalsh(ghat)[:, 0])),
+        )
+    bundle = GeometryBundle(
         surface=surface, norm=norm, omega0=float(omega0), anchor=anchor,
-        shape=shape, X=X, nu=nu, v=v, rho=rho, F=f_val, nu_F=xi,
-        u_hat=u_hat, u_bar=u_bar, pairing=pairing, g=g, h=h,
-        ghat=ghat, hhat=hhat, kappaF=kappa, Hk=Hk, HF=HF, f=f_speed,
-        area_el=area_el, diffusion_max=diffusion_max, maximizers=xi,
-        maximizer_jets=xi_jets,
+        shape=shape, nu=nu, v=v, rho=rho, F=f_val, nu_F=xi, u_hat=u_hat,
+        pairing=pairing, HF=HF, f=n * denom - u_hat * HF, maximizers=xi,
+        maximizer_jets=xi_jets, parts=parts,
     )
+    if n == 3:
+        bundle.__dict__.update(lazy)
+    return bundle
 
 
 # -- global integrals ------------------------------------------------------

@@ -80,6 +80,22 @@ class TestConfigParsing:
         assert "condition.samples must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "flow.t_end = -1", "flow.t_end = 0", "flow.t_end = nan",
+    "flow.convergence_tol = 0", "flow.boundary_tol = 0", "flow.initial = foo",
+    "flow.dt_override = -0.1", "flow.dt_override = 0", "flow.epsilon = -5",
+    "flow.epsilon = 1", "flow.seed = -1", "flow.cfl_sigma = 1", "flow.record_every = 0",
+    "output.snapshot_every = -2", "grid.n_beta = 8", "grid.n_lambda = 15",
+    "norm.dim = 4",
+])
+def test_invalid_flow_value_exit_two(tmp_path, capsys, line):
+    path = write(tmp_path, "v.cfg", SIM_CFG + line + "\n")
+    assert main(["simulate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 class TestSimulate:
     def test_short_run_exit_zero(self, tmp_path, capsys):
         path = write(tmp_path, "sim.cfg", SIM_CFG)

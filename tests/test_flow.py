@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.flow import (
+    STABILIZED_C,
     FlowConfig,
     FlowError,
     ImplicitDiffusion,
@@ -20,6 +21,8 @@ from capflow.flow import (
     rate_checks,
     run,
     step,
+    support_hessian_zz,
+    time_step,
 )
 from capflow.norms import make_norm
 from capflow.surface import GraphSurface, HalfSphereGrid, geometry
@@ -88,6 +91,25 @@ class TestBoundarySolve:
         )
 
 
+class TestBoundaryDerivative:
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["sphere", "ellipsoid", "quartic_a2", "quartic_a3"]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_support_hessian(self, seed, kind):
+        norm = make_norm(kind, {"ellipsoid": [4.0, 1.0, 2.0], "quartic_a3": [0.3]}.get(kind))
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.0, 2.0 * np.pi, 64)
+        # boundary-ring directions u - p_l e2 + p_b E_up, as the ghost Newton forms them
+        p_l, p_b = rng.uniform(-1.0, 1.0, (2, 64))
+        w = np.stack([np.cos(lam) + p_l * np.sin(lam), np.sin(lam) - p_l * np.cos(lam), p_b],
+                     axis=1)
+        _, z, _, ok, jets = norm.support_many(w, return_jets=True)
+        assert np.all(ok)
+        want = norm.support_hessian_many(w, maximizers=z, jets=jets)[:, 2, 2]
+        np.testing.assert_allclose(support_hessian_zz(norm, w, z, jets), want,
+                                   rtol=1e-12, atol=1e-12)
+
+
 class TestStepping:
     def test_static_cap_drift_bounded(self):
         omega0 = -0.3
@@ -118,6 +140,27 @@ class TestStepping:
         filtered = polar_filter(rhs, grid)
         assert np.abs(filtered[0]).max() < 1e-13
         assert np.allclose(filtered[-1], rhs[-1], atol=1e-13)
+
+
+def polar_filter_by_rows(rhs, grid):
+    """The filter as a loop over the cut-off rings, one mode mask per ring."""
+    sin_b = np.sin(grid.betas[1:])
+    cutoff_rows = np.nonzero(sin_b * grid.dlam < grid.dbeta)[0]
+    spec = np.fft.rfft(rhs[cutoff_rows], axis=1)
+    m = np.arange(spec.shape[1])
+    for idx, i in enumerate(cutoff_rows):
+        spec[idx, m > max(2, int(np.pi * sin_b[i] / grid.dbeta))] = 0.0
+    out = rhs.copy()
+    out[cutoff_rows] = np.fft.irfft(spec, grid.n_lambda, axis=1)
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), nb=st.sampled_from([16, 24, 64]))
+@settings(max_examples=20, deadline=None)
+def test_polar_filter_equals_the_row_loop(seed, nb):
+    grid = HalfSphereGrid(2, nb, 2 * nb)
+    rhs = np.random.default_rng(seed).standard_normal((nb, 2 * nb))
+    assert np.array_equal(polar_filter(rhs, grid), polar_filter_by_rows(rhs, grid))
 
 
 def dense_laplacian(grid: HalfSphereGrid) -> np.ndarray:
@@ -187,6 +230,33 @@ class TestImplicitDiffusion:
     def test_zero_coefficient_is_explicit(self, seed):
         delta = self.increment(seed)
         assert ImplicitDiffusion(self.GRID, 0.0).solve(delta) is delta
+
+
+class TestStabilizedSolve:
+    @given(a=st.floats(1e-3, 1e3), sigma=st.floats(0.05, 0.95),
+           nb=st.sampled_from([16, 24, 64]))
+    @settings(max_examples=50, deadline=None)
+    def test_coefficient_does_not_depend_on_the_bound(self, a, sigma, nb):
+        grid = HalfSphereGrid(2, nb, 2 * nb)
+        c = sigma * STABILIZED_C * grid.dbeta / (2 * grid.n)
+        assert time_step(grid, a, sigma) * a == pytest.approx(c, rel=1e-15)
+
+    def test_factored_once_per_run(self, monkeypatch):
+        built = []
+        init = ImplicitDiffusion.__init__
+
+        def spy(self, grid, c):
+            built.append((grid, c))
+            init(self, grid, c)
+
+        monkeypatch.setattr(ImplicitDiffusion, "__init__", spy)
+        cfg = FlowConfig(norm=SPHERE, omega0=-0.5, n_beta=16, n_lambda=32, record_every=50)
+        trace, _ = run(cfg)
+        assert trace.converged and trace.steps > 40
+        assert len(built) == 1
+        grid, c = built[0]
+        assert c == pytest.approx(cfg.cfl_sigma * STABILIZED_C * grid.dbeta / (2 * grid.n),
+                                  rel=1e-15)
 
 
 class TestRun:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capflow.norms import make_norm
 from capflow.surface import (
@@ -167,3 +169,113 @@ class TestExport:
         n_f = sum(1 for ln in text.splitlines() if ln.startswith("f "))
         assert n_v == 8 * 16 + 1  # shared pole vertex
         assert n_f > 0
+
+
+def oracle_geometry_n2(surface, norm, omega0, anchor):
+    """Every n = 2 bundle field by the batched np.roll / T G T^T / eigen
+    formulas, as a reference for the component-wise kernel, and the extra
+    absolute slack of the two fields that take an ill-conditioned root."""
+    grid = surface.grid
+    nb, db, dl = grid.n_beta, grid.dbeta, grid.dlam
+    phi = surface.phi
+    rows, up, down = phi[1 : nb + 1], phi[2 : nb + 2], phi[0:nb]
+    p_b = (up - down) / (2 * db)
+    p_bb = (up - 2 * rows + down) / db**2
+    p_l = (np.roll(rows, -1, axis=1) - np.roll(rows, 1, axis=1)) / (2 * dl)
+    p_ll = (np.roll(rows, -1, axis=1) - 2 * rows + np.roll(rows, 1, axis=1)) / dl**2
+    p_bl = (np.roll(up, -1, axis=1) - np.roll(up, 1, axis=1)
+            - np.roll(down, -1, axis=1) + np.roll(down, 1, axis=1)) / (4 * db * dl)
+    beta, lam = grid.betas[1:][:, None], grid.lambdas[None, :]
+    sb, cb = np.sin(beta), np.cos(beta)
+    cot = cb / sb
+    H12 = (p_bl - cot * p_l) / sb
+    grad = np.stack([p_b, p_l / sb], axis=-1)
+    hess = np.stack([np.stack([p_bb, H12], axis=-1),
+                     np.stack([H12, p_ll / sb**2 + cot * p_b], axis=-1)], axis=-2)
+    u = np.stack([sb * np.cos(lam), sb * np.sin(lam), cb + 0 * lam], axis=-1)
+    e1 = np.stack([cb * np.cos(lam), cb * np.sin(lam), -sb + 0 * lam], axis=-1)
+    e2 = np.stack([-np.sin(lam) + 0 * sb, np.cos(lam) + 0 * sb, 0 * sb * lam], axis=-1)
+    N = rows.size
+    rho, p, H = np.exp(rows).reshape(N), grad.reshape(N, 2), hess.reshape(N, 2, 2)
+    u, frame = u.reshape(N, 3), np.stack([e1, e2], axis=-2).reshape(N, 2, 3)
+    v = np.sqrt(1.0 + np.sum(p**2, axis=1))
+    nu = (u - (p[:, :, None] * frame).sum(axis=1)) / v[:, None]
+    eye, outer_p = np.eye(2), p[:, :, None] * p[:, None, :]
+    g = (rho**2)[:, None, None] * (eye + outer_p)
+    h = (rho / v)[:, None, None] * (eye + outer_p - H)
+    F, xi, _, ok = norm.support_many(nu)
+    assert np.all(ok)
+    T = rho[:, None, None] * (p[:, :, None] * u[:, None, :] + frame)
+    ghat = T @ norm.metric_G_many(xi) @ T.transpose(0, 2, 1)
+    hhat = h / F[:, None, None]
+    a = ghat[:, 0, 0] * ghat[:, 1, 1] - ghat[:, 0, 1] ** 2
+    b = (hhat[:, 0, 0] * ghat[:, 1, 1] + hhat[:, 1, 1] * ghat[:, 0, 0]
+         - 2.0 * hhat[:, 0, 1] * ghat[:, 0, 1])
+    c = hhat[:, 0, 0] * hhat[:, 1, 1] - hhat[:, 0, 1] ** 2
+    disc = np.sqrt(np.maximum(b**2 - 4.0 * a * c, 0.0))
+    kappa = np.stack([(b - disc) / (2 * a), (b + disc) / (2 * a)], axis=1)
+    HF = kappa.sum(axis=1)
+    u_hat = rho / (v * F)
+    pairing = (nu @ anchor.e_f) / F
+    denom = 1.0 + omega0 * pairing
+    tr = ghat[:, 0, 0] + ghat[:, 1, 1]
+    lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * a, 0.0)))
+    Hk = np.stack([np.ones(N), 0.5 * HF, kappa[:, 0] * kappa[:, 1]], axis=1)
+    fields = dict(
+        v=v, rho=rho, F=F, nu=nu, nu_F=xi, u_hat=u_hat, u_bar=u_hat / denom,
+        pairing=pairing, g=g, h=h, ghat=ghat, hhat=hhat, kappaF=kappa, Hk=Hk,
+        HF=HF, f=2 * denom - u_hat * HF, area_el=rho**2 * v,
+        diffusion_max=float(np.max(u_hat / lam_min)), X=rho[:, None] * u,
+    )
+    # Both roots take the square root of a discriminant that nearly vanishes
+    # where the eigenvalues nearly coincide (umbilic points, a round metric).
+    # There a rounding change of d in the discriminant D moves the root by up
+    # to d / (sqrt(D) + sqrt(d)): half the digits, for the oracle too.
+    def root_shift(D, scale):
+        d = 1e-14 * scale
+        return d / (np.sqrt(np.maximum(D, 0.0)) + np.sqrt(d))
+
+    k_shift = root_shift(b**2 - 4.0 * a * c, b**2 + 4.0 * np.abs(a * c)) / (2 * a)
+    lam_shift = 0.5 * root_shift(tr**2 - 4 * a, tr**2)
+    slack = dict(kappaF=k_shift[:, None],
+                 diffusion_max=float(np.max(u_hat * lam_shift / lam_min**2)))
+    return fields, slack
+
+
+def smooth_surface(grid, seed):
+    """log-radius of a few low harmonics, smooth through the pole, sampled
+    on rows 0..n_beta and the ghost row."""
+    rng = np.random.default_rng(seed)
+    beta = grid.dbeta * np.arange(grid.n_beta + 2)[:, None]
+    lam = grid.lambdas[None, :]
+    phi = rng.uniform(-0.3, 0.3) + 0 * beta * lam
+    for m in range(4):
+        for k in range(2):
+            amp, phase = rng.uniform(-0.06, 0.06), rng.uniform(0, 2 * np.pi)
+            phi = phi + amp * np.sin(beta) ** m * np.cos(beta) ** k * np.cos(m * lam + phase)
+    return GraphSurface(grid, phi)
+
+
+class TestLeanKernel:
+    CASES = [(SPHERE, -0.5), (A2, -0.3)]
+
+    @given(seed=st.integers(0, 2**32 - 1), nb=st.sampled_from([16, 24]),
+           case=st.sampled_from([0, 1]))
+    @settings(max_examples=30, deadline=None)
+    def test_every_field_matches_the_batched_formulas(self, seed, nb, case):
+        norm, omega0 = self.CASES[case]
+        anchor = anchor_vector(norm, omega0)
+        surf = smooth_surface(HalfSphereGrid(2, nb, 2 * nb), seed)
+        b = geometry(surf, norm, omega0, anchor)
+        fields, slack = oracle_geometry_n2(surf, norm, omega0, anchor)
+        for name, want in fields.items():
+            got = getattr(b, name)
+            assert np.shape(got) == np.shape(want), name
+            excess = np.abs(got - want) - 1e-11 * (1.0 + np.abs(want)) - slack.get(name, 0.0)
+            assert np.all(excess <= 0.0), (name, float(np.max(excess)))
+
+    def test_lazy_fields_are_cached(self):
+        b = cap_bundle(A2, -0.3, nb=16, nl=32)
+        for name in ("X", "u_bar", "g", "h", "ghat", "hhat", "kappaF", "Hk",
+                     "area_el", "diffusion_max"):
+            assert getattr(b, name) is getattr(b, name), name
