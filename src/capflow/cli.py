@@ -244,6 +244,8 @@ def _write_summary(path: str, trace: FlowTrace) -> None:
 def cmd_check_condition(config_path: str) -> int:
     cfg = parse_config(config_path)
     norm = build_norm(cfg)
+    if norm.d not in (3, 4):
+        raise ConfigError("check-condition samples slices in R^3 or R^4: norm.dim must be 3 or 4")
     omega0 = _require_omega0(cfg, norm, key="condition.omega0")
     samples = cfg.get("condition.samples", 256)
     out = _output_dir(cfg, config_path)

@@ -96,6 +96,13 @@ def test_invalid_flow_value_exit_two(tmp_path, capsys, line):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("dim", [2, 5])
+def test_check_condition_dimension_exit_two(tmp_path, capsys, dim):
+    cfg = f"norm.kind = sphere\nnorm.dim = {dim}\ncondition.omega0 = -0.3\n"
+    assert main(["check-condition", write(tmp_path, "d.cfg", cfg)]) == 2
+    assert "norm.dim must be 3 or 4" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_short_run_exit_zero(self, tmp_path, capsys):
         path = write(tmp_path, "sim.cfg", SIM_CFG)
