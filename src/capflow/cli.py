@@ -7,7 +7,8 @@ check batteries with pass/fail lines), norm-info (basic facts about a norm).
 Config files are flat ``section.key = value`` text.  Unknown keys are
 rejected, '#' starts a comment, arrays are bracketed comma lists, and paths
 are resolved relative to the config file.  Exit codes: 0 success, 2 config
-error, 3 runtime blow-up or numerical failure (partial outputs are kept).
+error, 3 runtime blow-up or numerical failure (partial outputs are kept):
+``main`` maps ConfigError to 2 and every other CapflowError to 3.
 """
 
 from __future__ import annotations
@@ -18,39 +19,16 @@ import sys
 
 import numpy as np
 
+from . import CapflowError
+from .checks import SUITES
 from .condition import ConditionError, condition_check
-from .expr import EvalDomainError, ExprError
-from .flow import (
-    INITIAL_PRESETS,
-    BlowUpError,
-    FlowConfig,
-    FlowError,
-    FlowTrace,
-    boundary_enforce,
-    perturbation_field,
-    rate_checks,
-    run,
-)
+from .expr import ExprError
+from .flow import INITIAL_PRESETS, FlowConfig, FlowError, FlowTrace, run
 from .norms import NormError, make_norm
-from .surface import (
-    GraphSurface,
-    HalfSphereGrid,
-    SurfaceError,
-    capillary_area,
-    enclosed_volume,
-    geometry,
-    minkowski_residual,
-    quermassintegral_interior,
-)
-from .wulff import (
-    CapillaryWulffShape,
-    WulffError,
-    admissible_interval,
-    anchor_vector,
-)
+from .wulff import WulffError, admissible_interval
 
 
-class ConfigError(ValueError):
+class ConfigError(ValueError, CapflowError):
     pass
 
 
@@ -58,46 +36,37 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
-# key -> parser kind; "list" is a bracketed comma list of floats,
-# "path" is resolved relative to the config file
+# key -> (parser kind, FlowConfig field it sets or None).  "list" is a
+# bracketed comma list of floats, "path" is resolved relative to the config
+# file; FlowConfig holds the flow defaults and checks their ranges
 CONFIG_KEYS = {
-    "norm.kind": str,
-    "norm.params": "list",
-    "norm.f0_expr": str,
-    "norm.dim": int,
-    "flow.omega0": float,
-    "flow.t_end": float,
-    "flow.cfl_sigma": float,
-    "flow.convergence_tol": float,
-    "flow.boundary_tol": float,
-    "flow.epsilon": float,
-    "flow.seed": int,
-    "flow.initial": str,
-    "flow.dt_override": float,
-    "flow.record_every": int,
-    "grid.n_beta": int,
-    "grid.n_lambda": int,
-    "output.dir": "path",
-    "output.snapshot_every": int,
-    "condition.samples": int,
-    "condition.omega0": float,
+    "norm.kind": (str, None),
+    "norm.params": ("list", None),
+    "norm.f0_expr": (str, None),
+    "norm.dim": (int, None),
+    "flow.omega0": (float, None),
+    "flow.t_end": (float, "t_end"),
+    "flow.cfl_sigma": (float, "cfl_sigma"),
+    "flow.convergence_tol": (float, "convergence_tol"),
+    "flow.boundary_tol": (float, "boundary_tol"),
+    "flow.epsilon": (float, "epsilon"),
+    "flow.seed": (int, "seed"),
+    "flow.initial": (str, "initial"),
+    "flow.dt_override": (float, "dt_override"),
+    "flow.record_every": (int, "record_every"),
+    "grid.n_beta": (int, "n_beta"),
+    "grid.n_lambda": (int, "n_lambda"),
+    "output.dir": ("path", None),
+    "output.snapshot_every": (int, "snapshot_every"),
+    "condition.omega0": (float, None),
+    "condition.samples": (int, None),
 }
 # counts that must be at least 1
 POSITIVE_KEYS = ("flow.record_every", "condition.samples")
-# simulate keys and the FlowConfig fields they set; FlowConfig holds the
-# defaults and checks the ranges
-FLOW_FIELDS = {
-    "grid.n_beta": "n_beta", "grid.n_lambda": "n_lambda",
-    "flow.cfl_sigma": "cfl_sigma", "flow.t_end": "t_end",
-    "flow.convergence_tol": "convergence_tol", "flow.boundary_tol": "boundary_tol",
-    "flow.record_every": "record_every", "output.snapshot_every": "snapshot_every",
-    "flow.epsilon": "epsilon", "flow.seed": "seed", "flow.initial": "initial",
-    "flow.dt_override": "dt_override",
-}
 
 
 def _parse_value(key: str, raw: str, base_dir: str):
-    kind = CONFIG_KEYS[key]
+    kind = CONFIG_KEYS[key][0]
     raw = raw.strip()
     if kind == "list":
         if not (raw.startswith("[") and raw.endswith("]")):
@@ -148,12 +117,15 @@ def build_norm(cfg: dict):
     kind = cfg.get("norm.kind")
     if kind is None:
         raise ConfigError("norm.kind is required")
+    dim = cfg.get("norm.dim", 3)
+    if dim not in (3, 4):
+        raise ConfigError("norm.dim must be 3 or 4")
     try:
         return make_norm(
             kind,
             params=cfg.get("norm.params"),
             f0_expr=cfg.get("norm.f0_expr"),
-            dim=cfg.get("norm.dim", 3),
+            dim=dim,
         )
     except (NormError, ExprError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -175,7 +147,10 @@ def _output_dir(cfg: dict, config_path: str) -> str:
     out = cfg.get("output.dir")
     if out is None:
         out = os.path.dirname(os.path.abspath(config_path)) or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output.dir: {exc}") from exc
     return out
 
 
@@ -194,15 +169,12 @@ def cmd_simulate(config_path: str) -> int:
     try:
         flow_cfg = FlowConfig(
             norm=norm, omega0=omega0, output_dir=out,
-            **{name: cfg[key] for key, name in FLOW_FIELDS.items() if key in cfg},
+            **{field: cfg[key] for key, (_, field) in CONFIG_KEYS.items()
+               if field is not None and key in cfg},
         )
     except FlowError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        trace, _ = run(flow_cfg)
-    except (FlowError, WulffError, NormError, SurfaceError, EvalDomainError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    trace, _ = run(flow_cfg)
     trace.to_csv(os.path.join(out, "trace.csv"))
     _write_summary(os.path.join(out, "summary.txt"), trace)
     if trace.blow_up:
@@ -244,8 +216,6 @@ def _write_summary(path: str, trace: FlowTrace) -> None:
 def cmd_check_condition(config_path: str) -> int:
     cfg = parse_config(config_path)
     norm = build_norm(cfg)
-    if norm.d not in (3, 4):
-        raise ConfigError("check-condition samples slices in R^3 or R^4: norm.dim must be 3 or 4")
     omega0 = _require_omega0(cfg, norm, key="condition.omega0")
     samples = cfg.get("condition.samples", 256)
     out = _output_dir(cfg, config_path)
@@ -294,242 +264,13 @@ def cmd_norm_info(config_path: str) -> int:
     return EXIT_OK
 
 
-# -- verification batteries -------------------------------------------------
-# These drive the same library calls as the test suite; each returns a list
-# of (label, passed, detail) triples.
-
-SUITES = (
-    "duality",
-    "wulff-static",
-    "minkowski",
-    "flow-conservation",
-    "inequalities",
-    "appendix-a",
-)
-
-
-def _duality_checks():
-    checks = []
-    for name, norm, tol in (
-        ("sphere", make_norm("sphere"), 1e-12),
-        ("ellipsoid(4,1,1)", make_norm("ellipsoid", [4.0, 1.0, 1.0]), 1e-7),
-        ("quartic_a2", make_norm("quartic_a2"), 1e-7),
-    ):
-        rep = norm.verify_duality(samples=100)
-        worst = max(
-            rep["gauge_of_maximizer"], rep["gradient_alignment"], rep["metric_pairing"]
-        )
-        checks.append((f"duality {name}", worst <= tol and rep["all_converged"],
-                       f"max residual {worst:.3e} (tol {tol:g})"))
-    return checks
-
-
-def static_cap_bundle(norm, omega0: float, n_beta: int, n_lambda: int):
-    """Geometry bundle of the exact model cap on the given grid."""
-    grid = HalfSphereGrid(2, n_beta, n_lambda)
-    anchor = anchor_vector(norm, omega0)
-    shape = CapillaryWulffShape(norm, 1.0, omega0, anchor)
-    surf = GraphSurface.from_wulff(grid, shape)
-    return geometry(surf, norm, omega0, anchor)
-
-
-CAP_BATTERY = (
-    ("sphere theta=pi/3", "sphere", None, -np.cos(np.pi / 3)),
-    ("sphere theta=pi/2", "sphere", None, 0.0),
-    ("quartic_a2 w0=-0.3", "quartic_a2", None, -0.3),
-)
-
-
-def _wulff_static_checks():
-    checks = []
-    for label, kind, params, omega0 in CAP_BATTERY:
-        bundle = static_cap_bundle(make_norm(kind, params), omega0, 64, 128)
-        sup_f = float(np.abs(bundle.f).max())
-        checks.append((f"static cap {label}", sup_f <= 5e-3,
-                       f"sup|f| = {sup_f:.3e} (tol 5e-3)"))
-    return checks
-
-
-def _minkowski_checks():
-    checks = []
-    for label, kind, params, omega0 in CAP_BATTERY:
-        bundle = static_cap_bundle(make_norm(kind, params), omega0, 64, 128)
-        for k in (0, 1):
-            res = abs(minkowski_residual(bundle, k))
-            checks.append((f"minkowski k={k} {label}", res <= 1e-3,
-                           f"residual {res:.3e} (tol 1e-3)"))
-    return checks
-
-
-def _flow_conservation_checks():
-    # short coarse run: same monitors as the full acceptance runs
-    cfg = FlowConfig(
-        norm=make_norm("sphere"), omega0=-np.cos(np.pi / 3),
-        n_beta=32, n_lambda=64, t_end=0.25, record_every=50,
-    )
-    trace, _ = run(cfg)
-    v0 = trace.column("V0")
-    drift = abs(v0[-1] - v0[0]) / abs(v0[0])
-    return [
-        ("V0 conservation", drift <= 5e-3, f"relative drift {drift:.3e}"),
-        ("V1 monotone", trace.v1_increase <= 0.0,
-         f"max increase {trace.v1_increase:.3e}"),
-        ("min ubar monotone", trace.min_ubar_drop <= 1e-4,
-         f"drop {trace.min_ubar_drop:.3e}"),
-        ("barrier containment", trace.barrier_violation <= 1e-3,
-         f"violation {trace.barrier_violation:.3e}"),
-    ]
-
-
-def star_battery_n2(norm, omega0: float, n_beta: int = 48, n_lambda: int = 96):
-    """Five star-shaped capillary surfaces over the model cap, as bundles."""
-    grid = HalfSphereGrid(2, n_beta, n_lambda)
-    anchor = anchor_vector(norm, omega0)
-    shape = CapillaryWulffShape(norm, 1.0, omega0, anchor)
-    bundles = []
-    for scale, eps, seed in (
-        (1.0, 0.0, 0), (0.7, 0.0, 0), (1.0, 0.08, 3), (1.0, 0.15, 7), (1.3, 0.1, 11),
-    ):
-        surf = GraphSurface.from_wulff(grid, shape)
-        surf.phi[: grid.n_beta + 1] += np.log(scale)
-        surf.phi[grid.n_beta + 1] += np.log(scale)
-        if eps > 0.0:
-            factor = perturbation_field(grid, eps, seed)
-            surf.phi[: grid.n_beta + 1] += np.log(factor)
-        boundary_enforce(surf, norm, omega0)
-        bundles.append(geometry(surf, norm, omega0, anchor))
-    return bundles
-
-
-def isoperimetric_slacks(norm, omega0: float, bundles=None):
-    """V1-ratio vs V0-ratio^(n/(n+1)) slack per battery surface (n = 2)."""
-    if bundles is None:
-        bundles = star_battery_n2(norm, omega0)
-    anchor = anchor_vector(norm, omega0)
-    grid = bundles[0].surface.grid
-    unit = geometry(
-        GraphSurface.from_wulff(grid, CapillaryWulffShape(norm, 1.0, omega0, anchor)),
-        norm, omega0, anchor,
-    )
-    v0_unit = enclosed_volume(unit)
-    v1_unit = capillary_area(unit)
-    out = []
-    for b in bundles:
-        r0 = enclosed_volume(b) / v0_unit
-        r1 = capillary_area(b) / v1_unit
-        out.append(r1 - r0 ** (grid.n / (grid.n + 1)))
-    return out
-
-
-def af_slacks_n2(norm, omega0: float, ks=(1,), n_beta: int = 48, n_lambda: int = 96):
-    """Higher-ratio chain slacks on a convex n = 2 battery."""
-    grid = HalfSphereGrid(2, n_beta, n_lambda)
-    anchor = anchor_vector(norm, omega0)
-    shape = CapillaryWulffShape(norm, 1.0, omega0, anchor)
-    unit = geometry(GraphSurface.from_wulff(grid, shape), norm, omega0, anchor)
-    v0_unit = enclosed_volume(unit)
-    vk_unit = {k: quermassintegral_interior(unit, k - 1) for k in ks}
-    out = []
-    for scale, eps, seed in ((0.8, 0.0, 0), (1.25, 0.0, 0), (1.0, 0.03, 5)):
-        surf = GraphSurface.from_wulff(grid, shape)
-        surf.phi[: grid.n_beta + 1] += np.log(scale)
-        surf.phi[grid.n_beta + 1] += np.log(scale)
-        if eps > 0.0:
-            surf.phi[: grid.n_beta + 1] += np.log(perturbation_field(grid, eps, seed))
-        boundary_enforce(surf, norm, omega0)
-        b = geometry(surf, norm, omega0, anchor)
-        if float(b.kappaF.min()) <= 0.0:
-            raise FlowError("battery surface is not convex")
-        r0 = (enclosed_volume(b) / v0_unit) ** (1.0 / (grid.n + 1))
-        for k in ks:
-            rk = (quermassintegral_interior(b, k - 1) / vk_unit[k]) ** (
-                1.0 / (grid.n + 1 - k)
-            )
-            out.append(rk - r0)
-    return out
-
-
-def af_slacks_n3(omega0: float = -0.5, ks=(1, 2), sizes=(16, 32, 32)):
-    """Same chain on a coarse n = 3 convex battery (round norm, d = 4)."""
-    norm = make_norm("sphere", dim=4)
-    grid = HalfSphereGrid(3, sizes[0], sizes[1], sizes[2])
-    anchor = anchor_vector(norm, omega0)
-    shape = CapillaryWulffShape(norm, 1.0, omega0, anchor)
-    unit = geometry(GraphSurface.from_wulff(grid, shape), norm, omega0, anchor)
-    v0_unit = enclosed_volume(unit)
-    vk_unit = {k: quermassintegral_interior(unit, k - 1) for k in ks}
-    out = []
-    for scale in (0.8, 1.3):
-        surf = GraphSurface.from_wulff(grid, shape)
-        surf.phi += np.log(scale)
-        b = geometry(surf, norm, omega0, anchor)
-        r0 = (enclosed_volume(b) / v0_unit) ** (1.0 / (grid.n + 1))
-        for k in ks:
-            rk = (quermassintegral_interior(b, k - 1) / vk_unit[k]) ** (
-                1.0 / (grid.n + 1 - k)
-            )
-            out.append(rk - r0)
-    return out
-
-
-def _inequality_checks():
-    checks = []
-    omega0 = -np.cos(np.pi / 3)
-    norm = make_norm("sphere")
-    iso = isoperimetric_slacks(norm, omega0)
-    checks.append(("isoperimetric battery n=2", min(iso) >= -1e-3,
-                   f"min slack {min(iso):.3e}"))
-    af2 = af_slacks_n2(norm, omega0)
-    checks.append(("ratio chain k=1 n=2", min(af2) >= -1e-3,
-                   f"min slack {min(af2):.3e}"))
-    af3 = af_slacks_n3()
-    checks.append(("ratio chain k=1,2 n=3", min(af3) >= -1e-3,
-                   f"min slack {min(af3):.3e}"))
-    return checks
-
-
-def _appendix_checks():
-    checks = []
-    for name, norm in (
-        ("sphere", make_norm("sphere")),
-        ("ellipsoid(4,1,1)", make_norm("ellipsoid", [4.0, 1.0, 1.0])),
-    ):
-        from .norms import fibonacci_sphere
-
-        q = norm.tensor_Q_many(fibonacci_sphere(50))
-        worst = float(np.abs(q).max())
-        checks.append((f"quadratic Q=0 {name}", worst <= 1e-10,
-                       f"max entry {worst:.3e}"))
-    a2 = make_norm("quartic_a2")
-    rep = condition_check(a2, 0.1, slice_samples=64)
-    checks.append(("quartic_a2 rejects w0=0.1", not rep.satisfied,
-                   f"min margin {rep.min_margin:.3e}"))
-    rep = condition_check(a2, -0.3, slice_samples=64)
-    checks.append(("quartic_a2 accepts w0=-0.3", rep.satisfied,
-                   f"min margin {rep.min_margin:.3e}"))
-    a3 = make_norm("quartic_a3", [0.3])
-    rep = condition_check(a3, 0.3, slice_samples=64)
-    checks.append(("quartic_a3 z0=0.3 equality at w0=0.3",
-                   rep.satisfied and abs(rep.min_margin) <= 1e-5,
-                   f"min margin {rep.min_margin:.3e}"))
-    return checks
-
-
 def cmd_verify(suite: str) -> int:
-    runners = {
-        "duality": _duality_checks,
-        "wulff-static": _wulff_static_checks,
-        "minkowski": _minkowski_checks,
-        "flow-conservation": _flow_conservation_checks,
-        "inequalities": _inequality_checks,
-        "appendix-a": _appendix_checks,
-    }
-    if suite not in runners:
+    if suite not in SUITES:
         print(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}",
               file=sys.stderr)
         return EXIT_CONFIG
     all_ok = True
-    for label, passed, detail in runners[suite]():
+    for label, passed, detail in SUITES[suite]():
         verdict = "PASS" if passed else "FAIL"
         all_ok = all_ok and passed
         print(f"{verdict} {label}: {detail}")
@@ -562,8 +303,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
+    except CapflowError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 
 

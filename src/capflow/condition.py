@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import CapflowError
 from .norms import Norm, fibonacci_sphere
 from .wulff import TranslatedNorm, WulffError, ball_slice_points, vertical
 
@@ -20,7 +21,7 @@ TOL_CONDITION = 1e-6
 TOL_DEGENERATE = 1e-8
 
 
-class ConditionError(ValueError):
+class ConditionError(ValueError, CapflowError):
     pass
 
 

@@ -14,10 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import CapflowError
+
 VARIABLE_NAMES = ("x", "y", "z", "w")
 
 
-class ExprError(ValueError):
+class ExprError(ValueError, CapflowError):
     """Base class for expression failures."""
 
 
@@ -83,8 +85,6 @@ class Expression:
 
 # ---------------------------------------------------------------------------
 # Tokenizer / parser (precedence climbing)
-
-_TOKEN_KINDS = ("num", "ident", "op", "lparen", "rparen", "end")
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -513,12 +513,6 @@ class JetValue:
     grad: np.ndarray
     hess: np.ndarray
     third: np.ndarray
-
-
-def eval_jet(expr: Expression, point) -> JetValue:
-    """Evaluate at one point; returns value, gradient, Hessian, third tensor."""
-    jet = evaluate(expr, np.asarray(point, dtype=float)[None, :], order=3)
-    return JetValue(float(jet.val[0]), jet.grad[0], jet.hess[0], jet.third[0])
 
 
 def finite_difference_jet(func, point, h: float = 1e-4) -> JetValue:

@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .expr import EvalDomainError
-from .norms import DualSolveError, Norm
+from . import CapflowError
+from .norms import Norm
 from .surface import (
     GeometryBundle,
     GraphSurface,
     HalfSphereGrid,
     SliceSupportTable,
-    SurfaceError,
     boundary_capillarity_residual,
     capillary_area,
     enclosed_volume,
@@ -38,7 +37,7 @@ from .surface import (
 from .wulff import AnchorVector, CapillaryWulffShape, TranslatedNorm, anchor_vector
 
 
-class FlowError(RuntimeError):
+class FlowError(RuntimeError, CapflowError):
     pass
 
 
@@ -511,7 +510,7 @@ def run(config: FlowConfig):
                 record(bundle, dt)
         else:
             trace.stop_reason = "t_end"
-    except (FlowError, DualSolveError, SurfaceError, EvalDomainError) as exc:
+    except CapflowError as exc:
         # any stepping failure (runaway amplitude, degenerate boundary or
         # dual solve, gauge evaluated off its domain, dt underflow) ends the
         # run; surface and bundle still hold the last completed step

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as expr_mod
+from . import CapflowError, expr as expr_mod
 from .expr import (
     EvalDomainError,
     Expression,
@@ -28,7 +28,7 @@ DUAL_TOL = 1e-12
 DUAL_MAX_ITER = 60
 
 
-class NormError(ValueError):
+class NormError(ValueError, CapflowError):
     """Base class for norm failures."""
 
 
@@ -60,6 +60,11 @@ def random_directions(count: int, d: int, seed: int = 42) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def sample_directions(count: int, d: int, seed: int = 42) -> np.ndarray:
+    """Unit directions in R^d: fibonacci_sphere for d = 3, else seeded random."""
+    return fibonacci_sphere(count) if d == 3 else random_directions(count, d, seed)
 
 
 def metric_solve(g_mat: np.ndarray, rhs: np.ndarray, name: str = "norm") -> np.ndarray:
@@ -97,10 +102,9 @@ class Norm:
     third-order tensor, curvature matrix of the support function) is generic.
     """
 
-    def __init__(self, d: int, name: str = "norm", homogeneity_check_tol: float = 1e-8):
+    def __init__(self, d: int, name: str = "norm"):
         self.d = d
         self.name = name
-        self.homogeneity_check_tol = homogeneity_check_tol
 
     # -- gauge evaluation -------------------------------------------------
 
@@ -113,9 +117,6 @@ class Norm:
 
     def f0(self, x) -> float:
         return float(self.f0_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def grad_f0(self, x) -> np.ndarray:
-        return self.gauge_jets(np.asarray(x, dtype=float)[None, :], order=2).grad[0]
 
     # -- dual support -----------------------------------------------------
 
@@ -206,13 +207,6 @@ class Norm:
             )
         return DualSolveResult(float(s[0]), z[0], iters, bool(ok[0]))
 
-    def cahn_hoffman(self, unit_direction) -> np.ndarray:
-        """Touching point of the supporting plane with unit outward normal x."""
-        return self.support(unit_direction).maximizer
-
-    def cahn_hoffman_many(self, dirs: np.ndarray, z0=None) -> np.ndarray:
-        return self.support_many(dirs, z0=z0)[1]
-
     # -- derived tensors --------------------------------------------------
 
     def metric_G_many(self, xis: np.ndarray, jets: Jet | None = None) -> np.ndarray:
@@ -222,18 +216,12 @@ class Norm:
         outer = np.einsum("ni,nj->nij", jets.grad, jets.grad)
         return jets.val[:, None, None] * jets.hess + outer
 
-    def metric_G(self, xi) -> np.ndarray:
-        return self.metric_G_many(np.asarray(xi, dtype=float)[None, :])[0]
-
     def tensor_Q_many(self, xis: np.ndarray, jets: Jet | None = None) -> np.ndarray:
         """Third derivative of half the squared gauge, shape (N,d,d,d)."""
         if jets is None or jets.third is None:
             jets = self.gauge_jets(np.asarray(xis, dtype=float), order=3)
         q = jets.val[:, None, None, None] * jets.third + _sym3_hg(jets.hess, jets.grad)
         return symmetrize_third(q)
-
-    def tensor_Q(self, xi) -> np.ndarray:
-        return self.tensor_Q_many(np.asarray(xi, dtype=float)[None, :])[0]
 
     def support_hessian_many(
         self,
@@ -298,10 +286,7 @@ class Norm:
 
     def ellipticity_report(self, samples: int = 1000) -> dict:
         """Min eigenvalue of the squared-gauge Hessian over sampled directions."""
-        if self.d == 3:
-            dirs = fibonacci_sphere(samples)
-        else:
-            dirs = random_directions(samples, self.d)
+        dirs = sample_directions(samples, self.d)
         jets = self.gauge_jets(dirs, order=2)
         g_mat = self.metric_G_many(dirs, jets=jets)
         eig = np.linalg.eigvalsh(g_mat)
@@ -313,10 +298,7 @@ class Norm:
         }
 
     def homogeneity_residual(self, samples: int = 200) -> float:
-        if self.d == 3:
-            dirs = fibonacci_sphere(samples)
-        else:
-            dirs = random_directions(samples, self.d)
+        dirs = sample_directions(samples, self.d)
         res = 0.0
         base = self.f0_many(dirs)
         for lam in (0.5, 2.0):
@@ -331,10 +313,7 @@ class Norm:
         the maximizer against any vector equals the Euclidean pairing with the
         direction divided by the support value.
         """
-        if self.d == 3:
-            dirs = fibonacci_sphere(samples)
-        else:
-            dirs = random_directions(samples, self.d, seed=seed)
+        dirs = sample_directions(samples, self.d, seed)
         ys = random_directions(samples, self.d, seed=seed + 1)
         f_val, z, _, ok = self.support_many(dirs)
         jets = self.gauge_jets(z, order=2)
@@ -564,7 +543,6 @@ class QuarticGaugeNorm(Norm):
 # Builtin norm catalogue
 
 QUARTIC_A2_TEXT = "((x^2+y^2+z^2)*(x^2+y^2)+z^4)^(1/4)"
-QUARTIC_A2_PRIME_TEXT = "((x^2+2*y^2+z^2)*(x^2+2*y^2)+z^4)^(1/4)"
 
 NORM_KINDS = (
     "sphere",
@@ -589,7 +567,7 @@ def make_norm(
     if kind == "ellipsoid":
         if len(params) != dim:
             raise NormError(f"ellipsoid needs {dim} axis parameters")
-        if min(params) <= 0:
+        if not all(a > 0 for a in params):  # written so that NaN fails
             raise NormError("ellipsoid parameters must be positive")
         return QuadraticNorm(np.diag([1.0 / a for a in params]), name="ellipsoid")
     if kind == "quartic_a2":

@@ -15,12 +15,13 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from . import CapflowError
 from .expr import Jet
 from .norms import Norm
 from .wulff import AnchorVector, CapillaryWulffShape, TranslatedNorm, anchor_vector
 
 
-class SurfaceError(RuntimeError):
+class SurfaceError(RuntimeError, CapflowError):
     """Geometry evaluation failed (dual solve or non-finite derivative)."""
 
 
@@ -262,9 +263,6 @@ class GeometryBundle:
         tr = self.parts["ghat11"] + self.parts["ghat22"]
         lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * self.parts["a"], 0.0)))
         return float(np.max(self.u_hat / lam_min))
-
-    def field(self, name: str) -> np.ndarray:
-        return getattr(self, name).reshape(self.shape)
 
     def quad(self, values: np.ndarray, pole_value: float | None = None) -> float:
         return self.surface.grid.quad(values.reshape(self.shape), pole_value)

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .norms import Norm, NormError, ShiftedGaugeNorm
+from . import CapflowError
+from .norms import Norm, ShiftedGaugeNorm, sample_directions
 
 
-class WulffError(ValueError):
+class WulffError(ValueError, CapflowError):
     """Invalid capillary shape construction or query."""
 
 
@@ -158,9 +158,6 @@ class CapillaryWulffShape:
         rho, _ = ray_roots(self.norm, u.reshape(-1, self.norm.d), -self.center, self.r)
         return rho.reshape(u.shape[:-1])
 
-    def radial_function(self, direction) -> float:
-        return float(self.radial_many(np.asarray(direction, dtype=float)[None, :])[0])
-
     def surface_points(self, directions: np.ndarray) -> np.ndarray:
         u = np.asarray(directions, dtype=float)
         return self.radial_many(u)[..., None] * u
@@ -176,12 +173,7 @@ class CapillaryWulffShape:
         The identity states 1 + omega0 * G(nu_F)(nu_F, e_f) = u_hat / r at
         every boundary point.
         """
-        from .norms import fibonacci_sphere, random_directions
-
-        if self.norm.d == 3:
-            dirs = fibonacci_sphere(2 * sample_count)
-        else:
-            dirs = random_directions(2 * sample_count, self.norm.d, seed=seed)
+        dirs = sample_directions(2 * sample_count, self.norm.d, seed)
         dirs = dirs[dirs[:, -1] > 1e-6][:sample_count]
         pts = self.surface_points(dirs)
         nus = self.normals(pts)
@@ -219,11 +211,6 @@ class TranslatedNorm:
         """Support function of the translated ball."""
         x = np.asarray(x, dtype=float)
         return self.base.support(x).value + float(np.dot(self.eta, x))
-
-    def transfer_denominator_many(self, zs: np.ndarray) -> np.ndarray:
-        """1 + G(z)(z, eta) = 1 + <Dgauge(z), eta> on the base unit ball."""
-        grads = self.base.gauge_jets(np.asarray(zs, dtype=float), order=2).grad
-        return 1.0 + grads @ self.eta
 
     def transfer_G_Q_many(
         self, zs: np.ndarray, xs: np.ndarray, ys: np.ndarray, zvecs: np.ndarray
@@ -264,39 +251,6 @@ class TranslatedNorm:
         )
         return ball_slice_points(self.base, self.omega0, plane_dirs)
 
-    def slice_support(self, planar_unit, samples: int = 512) -> float:
-        """Planar support function of the translated ball cut at height zero.
-
-        Dense angle sweep with a bounded scalar refinement around the best
-        sample.
-        """
-        u = np.asarray(planar_unit, dtype=float)
-        if self.base.d == 3:
-            angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-            pts = self.slice_points(angles) + self.eta
-            vals = pts[:, 0] * u[0] + pts[:, 1] * u[1]
-            j = int(np.argmax(vals))
-            da = 2.0 * np.pi / samples
-
-            def neg(a):
-                p = self.slice_points(np.array([a]))[0] + self.eta
-                return -(p[0] * u[0] + p[1] * u[1])
-
-            res = minimize_scalar(
-                neg,
-                bounds=(angles[j] - da, angles[j] + da),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            return float(-res.fun)
-        # ambient dimension 4: sweep the two slice angles (lower bound)
-        from .norms import random_directions
-
-        dirs3 = random_directions(4096, 3, seed=7)
-        dirs4 = np.concatenate([dirs3, np.zeros((dirs3.shape[0], 1))], axis=1)
-        pts = ball_slice_points(self.base, self.omega0, dirs4) + self.eta
-        return float(np.max(pts[:, :3] @ u))
-
     def slice_support_table(self, samples: int = 512) -> np.ndarray:
         """Support values at uniformly spaced planar normal angles (d = 3)."""
         thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
@@ -321,24 +275,3 @@ def translated_metric_Q(tn: TranslatedNorm, z, x_vec, y_vec, z_vec) -> tuple[flo
         np.asarray(z_vec, dtype=float)[None, :],
     )
     return float(g_t[0]), float(q_t[0])
-
-
-def slice_support(tn: TranslatedNorm, planar_unit, samples: int = 512) -> float:
-    """Module-level convenience wrapper."""
-    return tn.slice_support(planar_unit, samples=samples)
-
-
-def slice_support_from_boundary(
-    tn: TranslatedNorm, nu: np.ndarray, nu_f: np.ndarray, mu: np.ndarray
-) -> float:
-    """Boundary identity for the slice support, used as a cross-check.
-
-    With nu the surface normal at a boundary point, nu_f its image on the
-    base ball, and mu the outward co-normal in the boundary plane, the slice
-    support at the planar normal equals
-    <nu, e_f> <nu_f, mu> - F(nu) <e_f, mu>.
-    """
-    # nu_f lies on the unit ball so F(nu) = <nu, nu_f>
-    f_val = float(np.dot(nu, nu_f))
-    e_f = tn.anchor.e_f
-    return float(np.dot(nu, e_f) * np.dot(nu_f, mu) - f_val * np.dot(e_f, mu))

@@ -8,7 +8,7 @@ to take on the order of ten minutes.
 import numpy as np
 import pytest
 
-from capflow.cli import (
+from capflow.checks import (
     CAP_BATTERY,
     af_slacks_n2,
     af_slacks_n3,

@@ -1,0 +1,76 @@
+"""The documented CLI contract: exit codes by error class, bad input
+rejected at load, every verify suite passing, and README tables that match
+the code."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from capflow import checks, cli
+from capflow.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+NO_DUAL = "norm.kind = custom\nnorm.f0_expr = x+y+z\n"  # flat faces: singular G
+OFF_DOMAIN = "norm.kind = custom\nnorm.dim = 4\nnorm.f0_expr = sqrt(x^2+y^2+z^2)\n"
+
+
+def write(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("simulate", NO_DUAL + "flow.omega0 = -0.3\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"),
+    ("check-condition", NO_DUAL + "condition.omega0 = -0.3\n"),
+    ("norm-info", NO_DUAL),
+    ("check-condition", OFF_DOMAIN + "condition.omega0 = -0.3\n"),
+    ("norm-info", OFF_DOMAIN),
+])
+def test_numerical_failure_at_setup_exit_three(tmp_path, capsys, command, cfg):
+    path = write(tmp_path, "n.cfg", cfg + "output.dir = out\n")
+    assert main([command, path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("norm-info", "norm.kind = sphere\nnorm.dim = 0\n"),
+    ("norm-info", "norm.kind = sphere\nnorm.dim = 2\n"),
+    ("norm-info", "norm.kind = sphere\nnorm.dim = 5\n"),
+    ("norm-info", "norm.kind = ellipsoid\nnorm.params = [1, 1, nan]\n"),
+    ("norm-info", "norm.kind = ellipsoid\nnorm.params = [1, inf, 1]\n"),
+    ("check-condition",
+     "norm.kind = sphere\ncondition.omega0 = -0.3\noutput.dir = afile/sub\n"),
+])
+def test_bad_input_rejected_at_load(tmp_path, capsys, command, cfg):
+    (tmp_path / "afile").write_text("a regular file", encoding="utf-8")
+    assert main([command, write(tmp_path, "b.cfg", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", list(checks.SUITES))
+def test_every_verify_suite_passes(capsys, suite):
+    assert main(["verify", suite]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS") and "FAIL" not in out
+
+
+def test_readme_config_table_lists_every_key():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    keys = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        keys += re.findall(r"`([^`]+)`", line.split("|")[1])
+    assert tuple(keys) == tuple(cli.CONFIG_KEYS)
+
+
+def test_readme_verify_suites_line_lists_every_suite():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("Verify suites:", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", paragraph)) == tuple(checks.SUITES)
