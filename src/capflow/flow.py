@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import CapflowError
-from .norms import Norm
+from .norms import Norm, adjugate3, as_components, metric_components
 from .surface import (
     GeometryBundle,
     GraphSurface,
@@ -182,8 +182,8 @@ def boundary_enforce(
     inner = surface.phi[nb - 1]
     ext = np.concatenate((row[-1:], row, row[:1]))
     p_l = (ext[2:] - ext[:-2]) / (2 * dl)
-    # the frame of the boundary ring; w[:, 2] is set per iterate below
-    horizontal = grid.frame_u[-nl:] - p_l[:, None] * grid.frame_e2[-nl:]
+    # the frame of the boundary ring, component-major; w[2] is set per iterate
+    horizontal = grid.frame_u[:, -nl:] - p_l * grid.frame_e2[:, -nl:]
     ghost = surface.phi[nb + 1].copy()
     z = warm_state.get("z") if warm_state else None
     jets = warm_state.get("jets") if warm_state else None
@@ -191,10 +191,10 @@ def boundary_enforce(
     for it in range(max_iter):
         p_b = (ghost - inner) / (2 * db)
         w = horizontal.copy()
-        w[:, 2] = p_b
+        w[2] = p_b
         # jets depend only on z, so the last iterate's jets start the next solve
         f_val, z, _, ok, jets = norm.support_many(
-            w, z0=z, tol=min(tol, 1e-10), return_jets=True, jets0=jets
+            w.T, z0=z, tol=min(tol, 1e-10), return_jets="components", jets0=jets
         )
         if not np.all(ok):
             bad = int(np.argmax(~ok))
@@ -204,7 +204,7 @@ def boundary_enforce(
         if res <= tol:
             break
         # d psi / d ghost through the support Hessian acting on E_up
-        dpsi = -support_hessian_zz(norm, w, z, jets) / (2 * db)
+        dpsi = -support_hessian_zz(norm, w.T, z, jets) / (2 * db)
         if not np.all(np.isfinite(dpsi) & (dpsi != 0.0)):
             raise FlowError("degenerate boundary Newton derivative")
         ghost = ghost - psi / dpsi
@@ -219,16 +219,16 @@ def boundary_enforce(
 
 
 def support_hessian_zz(norm: Norm, w: np.ndarray, z: np.ndarray, jets) -> np.ndarray:
-    """[D^2 support]_{33} at directions w (d = 3), maximizers z, jets at z:
-    the last entry of (I - z Dgauge^T) G^-1 / <w, z>, from the third column
-    of the adjugate of G alone."""
-    G = norm.metric_G_many(z, jets=jets)
-    a, b, c, d, e, f = (G[:, i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
-    adj = (b * e - c * d, b * c - a * e, a * d - b * b)
-    det = c * adj[0] + e * adj[1] + f * adj[2]
-    grad_adj = jets.grad[:, 0] * adj[0] + jets.grad[:, 1] * adj[1] + jets.grad[:, 2] * adj[2]
+    """[D^2 support]_{33} at directions w (N, 3), maximizers z (N, 3) and the
+    order-2 jets at z (a Jet or a component array): the last entry of
+    (I - z Dgauge^T) G^-1 / <w, z>, from the third column of the adjugate of
+    G alone."""
+    comps = as_components(jets)
+    adj, det = adjugate3(metric_components(comps, norm.d))
+    # the third column of the adjugate: components 02, 12, 22
+    grad_adj = comps[1] * adj[2] + comps[2] * adj[4] + comps[3] * adj[5]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (adj[2] - z[:, 2] * grad_adj) / (det * np.einsum("ni,ni->n", w, z))
+        return (adj[5] - z[:, 2] * grad_adj) / (det * (w * z).sum(axis=1))
 
 
 def polar_filter(rhs: np.ndarray, grid: HalfSphereGrid) -> np.ndarray:

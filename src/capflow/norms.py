@@ -1,11 +1,13 @@
 """Minkowski norms, dual support solves, and the derived tensors.
 
 A norm object exposes the gauge function together with its derivatives up to
-third order.  From those it derives the support function of the unit ball
-(by a Newton solve on the level set, eliminated through the metric), the map
-sending a direction to the touching point of the supporting hyperplane, the
-squared-gauge Hessian metric, its third-derivative tensor, and the tangential
-curvature matrix of the support function.
+third order, as a `Jet` of (N, d) and (N, d, d) arrays and, up to order two,
+as one component-major array (see `gauge_components`).  From those it
+derives the support function of the unit ball and its maximizers (the
+Cahn-Hoffman points) by a Newton solve on the level set, eliminated through
+the metric and run on the component arrays; the squared-gauge Hessian
+metric; its third-derivative tensor; and the curvature matrix of the support
+function.
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ from .expr import (
     EvalDomainError,
     Expression,
     Jet,
+    _pairs,
     _sym3_hg,
-    symmetrize_hess,
     symmetrize_third,
 )
 
 DUAL_TOL = 1e-12
 DUAL_MAX_ITER = 60
+# a custom gauge must satisfy |gauge(t x) - t gauge(x)| <= HOMOGENEITY_TOL
+# times the largest sampled value
+HOMOGENEITY_TOL = 1e-10
 
 
 class NormError(ValueError, CapflowError):
@@ -67,39 +72,107 @@ def sample_directions(count: int, d: int, seed: int = 42) -> np.ndarray:
     return fibonacci_sphere(count) if d == 3 else random_directions(count, d, seed)
 
 
-def metric_solve(g_mat: np.ndarray, rhs: np.ndarray, name: str = "norm") -> np.ndarray:
-    """Solve G x = rhs for a batch of symmetric metrics G (N,d,d), rhs (N,d,k).
+# -- component-major order-2 jets --------------------------------------------
+#
+# Order-2 jets of N points in R^d as one (1 + d + d(d+1)/2, N) array: row 0
+# the value, rows 1..d the gradient, then the Hessian's upper triangle in the
+# row-major order of expr._pairs(d) ((0,0), (0,1), ... for d = 3: 00 01 02 11
+# 12 22).  Symmetric d x d metrics use the same triangle order.
 
-    d = 3 uses the closed-form adjugate of the upper triangle; other sizes a
-    batched LAPACK solve.  A non-finite or singular G raises DualSolveError.
+
+def _triangle(d: int):
+    """Row and column indices of the upper triangle, in component order."""
+    i, j = zip(*_pairs(d))
+    return np.array(i), np.array(j)
+
+
+def triangle_matrices(tri: np.ndarray, d: int) -> np.ndarray:
+    """(N, d, d) symmetric matrices from upper triangles (d(d+1)/2, N)."""
+    i, j = _triangle(d)
+    out = np.empty((tri.shape[1], d, d))
+    out[:, i, j] = out[:, j, i] = tri.T
+    return out
+
+
+def jet_components(jet: Jet) -> np.ndarray:
+    """The component-major array of an order-2 Jet."""
+    n, d = jet.grad.shape
+    i, j = _triangle(d)
+    out = np.empty((1 + d + i.size, n))
+    out[0] = jet.val
+    out[1 : d + 1] = jet.grad.T
+    out[d + 1 :] = jet.hess[:, i, j].T
+    return out
+
+
+def components_jet(comps: np.ndarray, d: int) -> Jet:
+    """The order-2 Jet of a component-major array."""
+    return Jet(comps[0].copy(), comps[1 : d + 1].T.copy(),
+               triangle_matrices(comps[d + 1 :], d), None)
+
+
+def as_components(jets) -> np.ndarray:
+    """Order-2 jets given as a Jet or a component array, as the latter."""
+    return jet_components(jets) if isinstance(jets, Jet) else jets
+
+
+def metric_components(comps: np.ndarray, d: int) -> np.ndarray:
+    """Upper triangle of G = gauge*Hess + Dgauge Dgauge^T, (d(d+1)/2, N)."""
+    i, j = _triangle(d)
+    grad = comps[1 : d + 1]
+    return comps[0] * comps[d + 1 :] + grad[i] * grad[j]
+
+
+def solve_components(g: np.ndarray, rhs: np.ndarray, name: str = "norm") -> np.ndarray:
+    """Solve G x = rhs for symmetric metrics given by their upper triangles.
+
+    g has shape (d(d+1)/2, N); rhs (d, N) or (d, k, N), and x has its shape.
+    d = 3 uses the closed-form adjugate; other sizes a batched LAPACK solve.
+    A non-finite or singular G raises DualSolveError.
     """
-    if not np.all(np.isfinite(g_mat)):
+    if not np.all(np.isfinite(g)):
         raise DualSolveError(f"non-finite metric in the dual system for {name}")
-    if g_mat.shape[-1] != 3:
+    d, n = rhs.shape[0], g.shape[1]
+    if d != 3:
+        g_mat = triangle_matrices(g, d)
+        cols = rhs.reshape(d, -1, n).transpose(2, 0, 1)
         try:
-            return np.linalg.solve(g_mat, rhs)
+            x = np.linalg.solve(g_mat, cols)
         except np.linalg.LinAlgError as exc:
             raise DualSolveError(f"singular dual system for {name}") from exc
-    a, b, c = g_mat[:, 0, 0], g_mat[:, 0, 1], g_mat[:, 0, 2]
-    d, e, f = g_mat[:, 1, 1], g_mat[:, 1, 2], g_mat[:, 2, 2]
-    adj = np.empty_like(g_mat)
-    adj[:, 0, 0] = d * f - e * e
-    adj[:, 0, 1] = adj[:, 1, 0] = c * e - b * f
-    adj[:, 0, 2] = adj[:, 2, 0] = b * e - c * d
-    adj[:, 1, 1] = a * f - c * c
-    adj[:, 1, 2] = adj[:, 2, 1] = b * c - a * e
-    adj[:, 2, 2] = a * d - b * b
-    det = a * adj[:, 0, 0] + b * adj[:, 0, 1] + c * adj[:, 0, 2]
+        return x.transpose(1, 2, 0).reshape(rhs.shape)
+    adj, det = adjugate3(g)
     if np.any(det == 0.0):
         raise DualSolveError(f"singular dual system for {name}")
-    return np.einsum("nij,njk->nik", adj, rhs) / det[:, None, None]
+    x = np.empty(rhs.shape)
+    for k, (p, q, r) in enumerate(((0, 1, 2), (1, 3, 4), (2, 4, 5))):
+        x[k] = (adj[p] * rhs[0] + adj[q] * rhs[1] + adj[r] * rhs[2]) / det
+    return x
+
+
+def adjugate3(g: np.ndarray):
+    """Adjugate (upper triangle, component order) and determinant of the
+    symmetric 3x3 metrics given by their upper triangles g (6, N)."""
+    g00, g01, g02, g11, g12, g22 = g
+    adj = (g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11,
+           g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01)
+    return adj, g00 * adj[0] + g01 * adj[1] + g02 * adj[2]
+
+
+def metric_solve(g_mat: np.ndarray, rhs: np.ndarray, name: str = "norm") -> np.ndarray:
+    """Solve G x = rhs for a batch of symmetric metrics G (N,d,d), rhs (N,d,k),
+    by solve_components on the upper triangles."""
+    i, j = _triangle(g_mat.shape[-1])
+    x = solve_components(g_mat[:, i, j].T, rhs.transpose(1, 2, 0), name)
+    return np.ascontiguousarray(x.transpose(2, 0, 1))
 
 
 class Norm:
     """A smooth elliptic gauge on R^d with derivative oracles.
 
-    Subclasses implement gauge_jets.  Everything else (support solve, metric,
-    third-order tensor, curvature matrix of the support function) is generic.
+    Subclasses implement gauge_jets, and may implement gauge_components
+    natively.  Everything else (support solve, metric, third-order tensor,
+    curvature matrix of the support function) is generic.
     """
 
     def __init__(self, d: int, name: str = "norm"):
@@ -110,6 +183,11 @@ class Norm:
 
     def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
         raise NotImplementedError
+
+    def gauge_components(self, pts: np.ndarray) -> np.ndarray:
+        """Order-2 jets at points given component-major, pts of shape (d, N),
+        as one component-major array (see jet_components)."""
+        return jet_components(self.gauge_jets(pts.T, order=2))
 
     def f0_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -125,10 +203,10 @@ class Norm:
         xs: np.ndarray,
         z0: np.ndarray | None = None,
         tol: float = DUAL_TOL,
-        return_jets: bool = False,
-        jets0: Jet | None = None,
+        return_jets: bool | str = False,
+        jets0: Jet | np.ndarray | None = None,
     ):
-        """Support values and maximizers for a batch of directions.
+        """Support values and maximizers for a batch of directions xs (N, d).
 
         Solves max <x,z> subject to gauge(z) = 1 by damped Newton on the
         stationarity system r_x = x - s*Dgauge(z) = 0, r_g = gauge(z) - 1 = 0.
@@ -136,34 +214,41 @@ class Norm:
         <Dgauge, z> = gauge) hold at every iterate, so the bordered Newton
         system reduces to one solve against the metric
         G = gauge*Hess + Dgauge Dgauge^T:  G w = r_x, ds = <Dgauge, w>,
-        dz = (gauge/s) w - (ds/s + r_g/gauge) z.  jets0, the order-2 gauge
-        jets at z0, spares the start-up evaluation.  Returns (values,
-        maximizers, iterations, converged_mask) and, with return_jets, the
-        gauge jets at the maximizers as a fifth item.
+        dz = (gauge/s) w - (ds/s + r_g/gauge) z.  The loop runs on
+        component-major arrays, (d, N) points and gauge_components jets, for
+        every d; only the rows above tol take a step.  jets0, the order-2
+        gauge jets at z0 as a Jet or a component array, spares the start-up
+        evaluation.  Returns (values, maximizers (N, d), iterations,
+        converged_mask) and, with return_jets, the gauge jets at the
+        maximizers as a fifth item: a Jet, or the component array for
+        return_jets = "components".
         """
         xs = np.asarray(xs, dtype=float)
         n, d = xs.shape
         norms_x = np.linalg.norm(xs, axis=1)
         if np.any(norms_x == 0.0):
             raise NormError("support direction must be nonzero")
-        start = xs if z0 is None else np.asarray(z0, dtype=float)
-        jet0 = self.gauge_jets(start, order=2) if jets0 is None else jets0
+        x = np.ascontiguousarray(xs.T)
+        start = x if z0 is None else np.ascontiguousarray(np.asarray(z0, dtype=float).T)
+        jets = self.gauge_components(start) if jets0 is None else as_components(jets0)
         # rescale the jets onto the unit level set by homogeneity instead of
         # re-evaluating: grad is 0-homogeneous, hess is (-1)-homogeneous
-        c = jet0.val
-        z = start / c[:, None]
-        jet = Jet(np.ones(n), jet0.grad.copy(), jet0.hess * c[:, None, None], None)
-        s = np.einsum("ni,ni->n", xs, z)
+        c = jets[0]
+        z = start / c
+        jet = np.empty(jets.shape)
+        jet[0] = 1.0
+        jet[1 : d + 1] = jets[1 : d + 1]
+        jet[d + 1 :] = jets[d + 1 :] * c
+        s = (x * z).sum(axis=0)
         scale = np.maximum(1.0, norms_x)
 
-        def residual(xa, sa, jeta):
-            r = np.empty((xa.shape[0], d + 1))
-            r[:, :d] = xa - sa[:, None] * jeta.grad
-            r[:, d] = jeta.val - 1.0
-            return r
+        def residual_norm(xa, sa, jeta, scale_a):
+            r = np.empty((d + 1, xa.shape[1]))
+            r[:d] = xa - sa * jeta[1 : d + 1]
+            r[d] = jeta[0] - 1.0
+            return r, np.sqrt((r * r).sum(axis=0)) / scale_a
 
-        r = residual(xs, s, jet)
-        rnorm = np.linalg.norm(r, axis=1) / scale
+        r, rnorm = residual_norm(x, s, jet, scale)
         iterations = 0
         for iterations in range(1, DUAL_MAX_ITER + 1):
             act = np.nonzero(rnorm > tol)[0]
@@ -172,30 +257,30 @@ class Norm:
             if act.size == n:
                 act = slice(None)
             # Newton step on unconverged rows only, eliminated through G
-            za, sa, ga, grad = z[act], s[act], jet.val[act], jet.grad[act]
-            g_mat = ga[:, None, None] * jet.hess[act] + grad[:, :, None] * grad[:, None, :]
-            w = metric_solve(g_mat, r[act, :d, None], self.name)[:, :, 0]
-            ds = np.einsum("ni,ni->n", grad, w)
-            dz = (ga / sa)[:, None] * w - (ds / sa + r[act, d] / ga)[:, None] * za
+            xa, za, sa, ra, ja = x[:, act], z[:, act], s[act], r[:, act], jet[:, act]
+            ga, grad = ja[0], ja[1 : d + 1]
+            w = solve_components(metric_components(ja, d), ra[:d], self.name)
+            ds = (grad * w).sum(axis=0)
+            dz = (ga / sa) * w - (ds / sa + ra[d] / ga) * za
             step = 1.0
             for _ in range(30):
                 z_try = za + step * dz
                 s_try = sa + step * ds
                 with np.errstate(all="ignore"):
-                    jet_try = self.gauge_jets(z_try, order=2)
-                    r_try = residual(xs[act], s_try, jet_try)
-                rnorm_try = np.linalg.norm(r_try, axis=1) / scale[act]
+                    jet_try = self.gauge_components(z_try)
+                    r_try, rnorm_try = residual_norm(xa, s_try, jet_try, scale[act])
                 if np.all(np.isfinite(rnorm_try) & (rnorm_try <= rnorm[act])):
                     break
                 step *= 0.5
-            z[act], s[act], r[act], rnorm[act] = z_try, s_try, r_try, rnorm_try
-            jet.val[act] = jet_try.val
-            jet.grad[act] = jet_try.grad
-            jet.hess[act] = jet_try.hess
+            z[:, act], s[act], r[:, act], rnorm[act] = z_try, s_try, r_try, rnorm_try
+            jet[:, act] = jet_try
         converged = rnorm <= max(tol, DUAL_TOL) * 10
-        if return_jets:
-            return s, z, iterations, converged, jet
-        return s, z, iterations, converged
+        z = np.ascontiguousarray(z.T)
+        if not return_jets:
+            return s, z, iterations, converged
+        if return_jets != "components":
+            jet = components_jet(jet, d)
+        return s, z, iterations, converged, jet
 
     def support(self, x) -> DualSolveResult:
         """Support value and touching point for one direction."""
@@ -340,22 +425,25 @@ class QuadraticNorm(Norm):
         self.m = m
         self.m_inv = np.linalg.inv(m)
 
-    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
-        pts = np.asarray(pts, dtype=float)
-        mx = pts @ self.m
-        q = np.einsum("ni,ni->n", pts, mx)
+    def gauge_components(self, pts: np.ndarray) -> np.ndarray:
+        d = self.d
+        i, j = _triangle(d)
+        out = np.empty((1 + d + i.size, pts.shape[1]))
+        mx = self.m @ pts
+        q = (pts * mx).sum(axis=0)
         if np.any(q <= 0.0):
             raise EvalDomainError("quadratic gauge evaluated at the origin")
-        val = np.sqrt(q)
-        grad = mx / val[:, None]
-        hess = (self.m[None, :, :] - np.einsum("ni,nj->nij", grad, grad)) / val[
-            :, None, None
-        ]
-        third = None
+        val = out[0] = np.sqrt(q)
+        grad = out[1 : d + 1] = mx / val
+        out[d + 1 :] = (self.m[i, j][:, None] - grad[i] * grad[j]) / val
+        return out
+
+    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
+        jet = components_jet(self.gauge_components(np.asarray(pts, dtype=float).T), self.d)
         if order >= 3:
-            third = -_sym3_hg(hess, grad) / val[:, None, None, None]
-            symmetrize_third(third)
-        return Jet(val, grad, hess, third)
+            jet.third = -_sym3_hg(jet.hess, jet.grad) / jet.val[:, None, None, None]
+            symmetrize_third(jet.third)
+        return jet
 
     def support_many(self, xs, z0=None, tol=DUAL_TOL, return_jets=False, jets0=None):
         xs = np.asarray(xs, dtype=float)
@@ -363,9 +451,12 @@ class QuadraticNorm(Norm):
         val = np.sqrt(np.einsum("ni,ni->n", xs, minv_x))
         z = minv_x / val[:, None]
         ok = np.ones(xs.shape[0], dtype=bool)
-        if return_jets:
-            return val, z, 0, ok, self.gauge_jets(z, order=2)
-        return val, z, 0, ok
+        if not return_jets:
+            return val, z, 0, ok
+        jets = self.gauge_components(np.ascontiguousarray(z.T))
+        if return_jets != "components":
+            jets = components_jet(jets, self.d)
+        return val, z, 0, ok, jets
 
 
 class ExpressionNorm(Norm):
@@ -483,60 +574,69 @@ class QuarticGaugeNorm(Norm):
         super().__init__(3, name=name)
         self.c = float(c)
 
-    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
-        pts = np.asarray(pts, dtype=float)
-        n = pts.shape[0]
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    def _parts(self, pts: np.ndarray):
+        """p = gauge^4 with its gradient and Hessian triangle as component
+        tuples, the chain-rule factors a1 = 1/4 p^(-3/4) and a2 = -3/4 a1/p,
+        and the order-2 component array built from them."""
+        x, y, z = pts
         c = self.c
+        zz = z * z
         q = x * x + c * y * y
-        s = q + z * z
-        p = s * q + z**4
+        s = q + zz
+        p = s * q + zz * zz
         if np.any(p <= 0.0):
             raise EvalDomainError("quartic gauge evaluated at the origin")
         qs = q + s
-        dp = np.empty((n, 3))
-        dp[:, 0] = 2.0 * x * qs
-        dp[:, 1] = 2.0 * c * y * qs
-        dp[:, 2] = 2.0 * z * q + 4.0 * z**3
+        dp = (2.0 * x * qs, 2.0 * c * y * qs, 2.0 * z * (q + 2.0 * zz))
         # d2p = ds (x) dq + dq (x) ds + q*d2s + s*d2q expanded componentwise
-        d2p = np.empty((n, 3, 3))
-        d2p[:, 0, 0] = 8.0 * x * x + 2.0 * qs
-        d2p[:, 0, 1] = d2p[:, 1, 0] = 8.0 * c * x * y
-        d2p[:, 0, 2] = d2p[:, 2, 0] = 4.0 * x * z
-        d2p[:, 1, 1] = 8.0 * c * c * y * y + 2.0 * c * qs
-        d2p[:, 1, 2] = d2p[:, 2, 1] = 4.0 * c * y * z
-        d2p[:, 2, 2] = 2.0 * q + 12.0 * z * z
+        d2p = (8.0 * x * x + 2.0 * qs, 8.0 * c * x * y, 4.0 * x * z,
+               8.0 * c * c * y * y + 2.0 * c * qs, 4.0 * c * y * z, 2.0 * q + 12.0 * zz)
+        out = np.empty((10, p.size))
         # gauge = p^(1/4); derivative factors via val to avoid extra pow calls
-        val = np.sqrt(np.sqrt(p))
+        val = out[0] = np.sqrt(np.sqrt(p))
         a1 = 0.25 * val / p
         a2 = -0.75 * a1 / p
-        grad = a1[:, None] * dp
-        outer = dp[:, :, None] * dp[:, None, :]
-        hess = a1[:, None, None] * d2p + a2[:, None, None] * outer
-        third = None
+        a2_dp = [a2 * dp_i for dp_i in dp]
+        for k in range(3):
+            np.multiply(a1, dp[k], out=out[1 + k])
+        for k, (i, j) in enumerate(_pairs(3)):
+            np.multiply(a1, d2p[k], out=out[4 + k])
+            out[4 + k] += a2_dp[i] * dp[j]
+        return p, a1, a2, dp, d2p, out
+
+    def gauge_components(self, pts: np.ndarray) -> np.ndarray:
+        return self._parts(pts)[-1]
+
+    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
+        pts = np.asarray(pts, dtype=float)
+        p, a1, a2, dp, d2p, comps = self._parts(pts.T)
+        jet = components_jet(comps, 3)
         if order >= 3:
+            n = p.size
+            x, y, z = pts.T
+            dp = np.stack(dp, axis=1)
+            d2p = triangle_matrices(np.array(d2p), 3)
             dq = np.zeros((n, 3))
             dq[:, 0] = 2.0 * x
-            dq[:, 1] = 2.0 * c * y
+            dq[:, 1] = 2.0 * self.c * y
             ds = dq.copy()
             ds[:, 2] = 2.0 * z
-            d2q = np.diag([2.0, 2.0 * c, 0.0])
-            d2s = np.diag([2.0, 2.0 * c, 2.0])
+            d2q = np.diag([2.0, 2.0 * self.c, 0.0])
+            d2s = np.diag([2.0, 2.0 * self.c, 2.0])
             d3p = _sym3_hg(
                 np.broadcast_to(d2s, (n, 3, 3)), dq
             ) + _sym3_hg(np.broadcast_to(d2q, (n, 3, 3)), ds)
             d3p = np.array(d3p)
             d3p[:, 2, 2, 2] += 24 * z
             a3 = -1.75 * a2 / p
-            third = (
+            jet.third = (
                 a1[:, None, None, None] * d3p
                 + a2[:, None, None, None] * _sym3_hg(d2p, dp)
                 + a3[:, None, None, None]
                 * np.einsum("ni,nj,nk->nijk", dp, dp, dp)
             )
-            symmetrize_third(third)
-        symmetrize_hess(hess)
-        return Jet(val, grad, hess, third)
+            symmetrize_third(jet.third)
+        return jet
 
 
 # ---------------------------------------------------------------------------

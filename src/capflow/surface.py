@@ -16,8 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import CapflowError
-from .expr import Jet
-from .norms import Norm
+from .norms import Norm, metric_components, triangle_matrices
 from .wulff import AnchorVector, CapillaryWulffShape, TranslatedNorm, anchor_vector
 
 
@@ -58,13 +57,13 @@ class HalfSphereGrid:
             w[-1] = np.cos(0.5 * np.pi - half)
             self.ring_weights = w
             # per-ring trigonometry and the orthonormal frame (u, e1, e2) of
-            # rings 1..n_beta, the frame flattened over the nodes
+            # rings 1..n_beta, each frame vector component-major, (3, nodes)
             beta, lam = self.betas[1:, None], self.lambdas[None, :]
             sb, cb = np.sin(beta), np.cos(beta)
             self.sin_b, self.cot_b, self.sin2_b = sb, cb / sb, sb**2
             cl, sl, zero = np.cos(lam), np.sin(lam), 0 * sb * lam
             self.frame_u, self.frame_e1, self.frame_e2 = (
-                np.stack([x + zero, y + zero, z + zero], axis=-1).reshape(-1, 3)
+                np.stack([x + zero, y + zero, z + zero]).reshape(3, -1)
                 for x, y, z in ((sb * cl, sb * sl, cb), (cb * cl, cb * sl, -sb), (-sl, cl, 0.0)))
             # azimuthal modes beyond ~pi sin(beta)/dbeta are unresolved on the
             # rings whose spacing sin(beta)*dlam is below dbeta (a prefix)
@@ -214,12 +213,12 @@ class GeometryBundle:
     HF: np.ndarray            # sum of kappaF
     f: np.ndarray             # flow speed
     maximizers: np.ndarray
-    maximizer_jets: Jet       # order-2 gauge jets at the maximizers
+    maximizer_jets: np.ndarray  # order-2 gauge jets at the maximizers, component-major
     parts: dict | None = None
 
     @cached_property
     def X(self) -> np.ndarray:
-        return self.rho[:, None] * self.surface.grid.frame_u
+        return (self.rho * self.surface.grid.frame_u).T
 
     @cached_property
     def u_bar(self) -> np.ndarray:
@@ -389,6 +388,13 @@ def _frame_data_n3(surface: GraphSurface):
             u.reshape(-1, 4), frame.reshape(-1, 3, 4))
 
 
+def _metric_times(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """G t for symmetric 3x3 metrics given by their triangles g (6, N), t (3, N)."""
+    return np.stack((g[0] * t[0] + g[1] * t[1] + g[2] * t[2],
+                     g[1] * t[0] + g[3] * t[1] + g[4] * t[2],
+                     g[2] * t[0] + g[4] * t[1] + g[5] * t[2]))
+
+
 def _elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
     """Normalized elementary symmetric functions H_0..H_n of the rows."""
     n = kappa.shape[1]
@@ -430,7 +436,7 @@ def geometry(
             raise SurfaceError("non-finite derivative (blow-up?)")
         u, e1, e2 = grid.frame_u, grid.frame_e1, grid.frame_e2
         v = np.sqrt(1.0 + (f1 * f1 + f2 * f2))
-        nu = (u - (f1[:, None] * e1 + f2[:, None] * e2)) / v[:, None]
+        nu = ((u - (f1 * e1 + f2 * e2)) / v).T
     else:
         shape, rho, p, H, u, frame = _frame_data_n3(surface)
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(H))):
@@ -439,23 +445,23 @@ def geometry(
         nu = (u - (p[:, :, None] * frame).sum(axis=1)) / v[:, None]
     z0, jets0 = (None, None) if warm is None else (warm.maximizers, warm.maximizer_jets)
     f_val, xi, _, ok, xi_jets = norm.support_many(
-        nu, z0=z0, tol=dual_tol, return_jets=True, jets0=jets0
+        nu, z0=z0, tol=dual_tol, return_jets="components", jets0=jets0
     )
     if not np.all(ok):
         raise SurfaceError(f"dual solve failed at {int(np.sum(~ok))} nodes")
-    G_xi = norm.metric_G_many(xi, jets=xi_jets)
+    G_xi = metric_components(xi_jets, n + 1)
     u_hat = rho / (v * f_val)
     pairing = (nu @ anchor.e_f) / f_val
     denom = 1.0 + omega0 * pairing
     if n == 2:
         # ghat = T G T^T and hhat = h / F by components, with the ambient
         # coordinate tangents T_i = rho (f_i u + e_i); HF = tr(ghat^-1 hhat)
-        T1 = rho[:, None] * (f1[:, None] * u + e1)
-        T2 = rho[:, None] * (f2[:, None] * u + e2)
-        GT2 = np.einsum("nij,nj->ni", G_xi, T2)
-        g11 = np.einsum("ni,ni->n", T1, np.einsum("nij,nj->ni", G_xi, T1))
-        g12 = np.einsum("ni,ni->n", T1, GT2)
-        g22 = np.einsum("ni,ni->n", T2, GT2)
+        T1 = rho * (f1 * u + e1)
+        T2 = rho * (f2 * u + e2)
+        GT2 = _metric_times(G_xi, T2)
+        g11 = (T1 * _metric_times(G_xi, T1)).sum(axis=0)
+        g12 = (T1 * GT2).sum(axis=0)
+        g22 = (T2 * GT2).sum(axis=0)
         s = rho / v
         q11, q12, q22 = 1.0 + f1 * f1, f1 * f2, 1.0 + f2 * f2  # I + p p^T
         h11, h12, h22 = s * (q11 - H11), s * (q12 - H12), s * (q22 - H22)
@@ -470,7 +476,7 @@ def geometry(
         outer_p = p[:, :, None] * p[:, None, :]
         # ambient coordinate tangents in the orthonormal sphere frame
         T = rho[:, None, None] * (p[:, :, None] * u[:, None, :] + frame)
-        ghat = T @ G_xi @ T.transpose(0, 2, 1)
+        ghat = T @ triangle_matrices(G_xi, n + 1) @ T.transpose(0, 2, 1)
         h = (rho / v)[:, None, None] * (eye + outer_p - H)
         hhat = h / f_val[:, None, None]
         # eigenvalues in a ghat-orthonormal basis via Cholesky

@@ -14,7 +14,9 @@ from capflow.norms import (
     NormError,
     QUARTIC_A2_TEXT,
     QuarticGaugeNorm,
+    components_jet,
     fibonacci_sphere,
+    jet_components,
     make_norm,
     metric_solve,
     random_directions,
@@ -351,3 +353,66 @@ class TestEliminatedSolve:
         norm = make_norm("custom", f0_expr="(x^4+y^4+z^4)^(1/4)")
         with pytest.raises(DualSolveError):
             norm.support_many(np.array([[1.0, 0.1, 0.0]]), z0=np.array([[1.0, 0.0, 0.0]]))
+
+
+# -- component-major jets and the solve on them --------------------------------
+
+QUARTICS = {
+    1.0: ("quartic_a2", QUARTIC_A2_TEXT),
+    2.0: ("quartic_a2_prime", "((x^2+2*y^2+z^2)*(x^2+2*y^2)+z^4)^(1/4)"),
+}
+
+
+class TestComponentJets:
+    @given(c=st.sampled_from(sorted(QUARTICS)), angles=st.lists(DIRECTION, min_size=1, max_size=8),
+           length=st.floats(0.1, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_quartic_components_are_its_jets(self, c, angles, length):
+        norm = make_norm(QUARTICS[c][0])
+        pts = length * np.array([direction(a, 3) for a in angles])
+        comps = norm.gauge_components(np.ascontiguousarray(pts.T))
+        for order in (2, 3):
+            jet = norm.gauge_jets(pts, order=order)
+            assert np.array_equal(comps, jet_components(jet))
+            assert np.array_equal(components_jet(comps, 3).hess, jet.hess)
+
+    @given(c=st.sampled_from(sorted(QUARTICS)), angles=st.lists(DIRECTION, min_size=1, max_size=8),
+           length=st.floats(0.1, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_quartic_components_match_the_expression_norm(self, c, angles, length):
+        kind, text = QUARTICS[c]
+        pts = np.ascontiguousarray((length * np.array([direction(a, 3) for a in angles])).T)
+        hand = make_norm(kind).gauge_components(pts)
+        sym = make_norm("custom", f0_expr=text).gauge_components(pts)
+        # value ~ |x|, gradient ~ 1, Hessian ~ 1/|x|
+        scale = np.array([length] + [1.0] * 3 + [1.0 / length] * 6)[:, None]
+        assert np.all(np.abs(hand - sym) <= 1e-12 * scale)
+
+    @given(angles=st.lists(DIRECTION, min_size=1, max_size=6), length=st.floats(0.5, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_four_dimensional_solve_on_components(self, angles, length):
+        norm = SOLVE_NORMS["custom_d4"]
+        xs = length * np.array([direction(a, 4) for a in angles])
+        s, z, _, ok, comps = norm.support_many(xs, return_jets="components")
+        assert np.all(ok)
+        # the returned jets are the gauge jets at the maximizers
+        again = norm.gauge_components(np.ascontiguousarray(z.T))
+        assert np.allclose(comps, again, rtol=1e-12, atol=1e-12)
+        tol = DUAL_TOL * max(1.0, length)
+        assert np.abs(comps[0] - 1.0).max() <= tol
+        assert np.linalg.norm(xs - s[:, None] * comps[1:5].T, axis=1).max() <= tol
+        assert np.all(np.abs(s - np.einsum("ni,ni->n", xs, z)) <= tol * (1.0 + s))
+
+    @pytest.mark.parametrize("kind", sorted(SOLVE_NORMS))
+    def test_jet_and_component_layouts_give_the_same_solve(self, kind):
+        norm = SOLVE_NORMS[kind]
+        xs = random_directions(40, norm.d, seed=7)
+        _, z, _, _ = norm.support_many(xs)
+        z0 = 1.01 * z + 0.02 * np.roll(z, 1, axis=1)
+        as_jet = norm.support_many(xs, z0=z0, return_jets=True,
+                                   jets0=norm.gauge_jets(z0, order=2))
+        as_comps = norm.support_many(xs, z0=z0, return_jets="components",
+                                     jets0=norm.gauge_components(np.ascontiguousarray(z0.T)))
+        for a, b in zip(as_jet[:4], as_comps[:4]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(jet_components(as_jet[4]), as_comps[4])

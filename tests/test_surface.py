@@ -279,3 +279,25 @@ class TestLeanKernel:
         for name in ("X", "u_bar", "g", "h", "ghat", "hhat", "kappaF", "Hk",
                      "area_el", "diffusion_max"):
             assert getattr(b, name) is getattr(b, name), name
+
+
+class TestCarriedJets:
+    FIELDS = ("nu", "v", "rho", "F", "nu_F", "u_hat", "pairing", "HF", "f", "maximizers",
+              "maximizer_jets", "ghat", "kappaF", "diffusion_max")
+
+    @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from([0, 1]))
+    @settings(max_examples=10, deadline=None)
+    def test_carried_jets_equal_recomputed_ones(self, seed, case):
+        norm, omega0 = TestLeanKernel.CASES[case]
+        anchor = anchor_vector(norm, omega0)
+        grid = HalfSphereGrid(2, 16, 32)
+        b = geometry(smooth_surface(grid, seed), norm, omega0, anchor)
+        # a cold solve steps every node, so its jets are those at the maximizers
+        recomputed = norm.gauge_components(np.ascontiguousarray(b.maximizers.T))
+        assert np.array_equal(b.maximizer_jets, recomputed)
+        nxt = smooth_surface(grid, seed + 1)
+        carried = geometry(nxt, norm, omega0, anchor, warm=b, dual_tol=1e-9)
+        b.maximizer_jets = recomputed
+        fresh = geometry(nxt, norm, omega0, anchor, warm=b, dual_tol=1e-9)
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name

@@ -1,0 +1,45 @@
+"""The benchmark's tracer still finds every name it patches.
+
+perfbench/tracer.py wraps capflow functions and methods by name from
+outside the package; a refactor that moves or renames one of them breaks
+every traced benchmark run.  This test loads the tracer from its file
+(read-only) and runs a short quartic flow under it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from capflow import norms
+from capflow.flow import FlowConfig, run
+from capflow.norms import make_norm
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves_and_support_spans_are_recorded():
+    tracer = load_tracer()
+    functions, methods = tracer._targets()
+    for owner, attr, *_ in functions:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+    for cls, attr, *_ in methods:
+        assert attr in cls.__dict__, f"{cls.__name__}.{attr}"
+    original = norms.Norm.__dict__["support_many"]
+    cfg = FlowConfig(norm=make_norm("quartic_a2"), omega0=-0.3, n_beta=16, n_lambda=32,
+                     t_end=0.01)
+    with tracer.Tracer() as t:
+        trace, _ = run(cfg)
+    assert trace.steps > 0
+    names = {rec[tracer.NAME] for rec in t.spans}
+    for name in (tracer.SUPPORT, "surface.geometry", "flow.boundary_enforce"):
+        assert name in names, name
+    agg = tracer.aggregate(t.spans)
+    assert agg["newton_iters"] > 0 and agg["boundary_newton"] > 0
+    # leaving the tracer restores every patched name
+    assert norms.Norm.__dict__["support_many"] is original
