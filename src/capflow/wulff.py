@@ -258,12 +258,8 @@ class TranslatedNorm:
         # normal is (cos t, sin t); dense sweep once, then per-angle max
         angles = np.linspace(0.0, 2.0 * np.pi, 4 * samples, endpoint=False)
         pts = self.slice_points(angles) + self.eta
-        proj = np.einsum(
-            "nk,mk->nm",
-            np.stack([np.cos(thetas), np.sin(thetas)], axis=1),
-            pts[:, :2],
-        )
-        return proj.max(axis=1)
+        normals = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        return (normals @ pts[:, :2].T).max(axis=1)
 
 
 def translated_metric_Q(tn: TranslatedNorm, z, x_vec, y_vec, z_vec) -> tuple[float, float]:
