@@ -7,8 +7,9 @@ check batteries with pass/fail lines), norm-info (basic facts about a norm).
 Config files are flat ``section.key = value`` text.  Unknown keys are
 rejected, '#' starts a comment, arrays are bracketed comma lists, and paths
 are resolved relative to the config file.  Exit codes: 0 success, 2 config
-error, 3 runtime blow-up or numerical failure (partial outputs are kept):
-``main`` maps ConfigError to 2 and every other CapflowError to 3.
+error, 3 runtime blow-up, numerical failure or an output file that cannot be
+written (partial outputs are kept): ``main`` maps ConfigError to 2 and every
+other CapflowError, and OSError, to 3.
 """
 
 from __future__ import annotations
@@ -303,7 +304,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CapflowError as exc:
+    except (CapflowError, OSError) as exc:
+        # config reads and output.dir creation raise ConfigError, so an
+        # OSError here failed to write an output file
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 

@@ -29,7 +29,7 @@ from .expr import (
 DUAL_TOL = 1e-12
 DUAL_MAX_ITER = 60
 # a custom gauge must satisfy |gauge(t x) - t gauge(x)| <= HOMOGENEITY_TOL
-# times the largest sampled value
+# times its largest value on the sampled unit directions
 HOMOGENEITY_TOL = 1e-10
 
 
@@ -382,13 +382,14 @@ class Norm:
             "near_degenerate": min_eig < 1e-6,
         }
 
-    def homogeneity_residual(self, samples: int = 200) -> float:
+    def homogeneity_residual(self, samples: int = 200, relative: bool = False) -> float:
+        """max |gauge(t x) - t gauge(x)| over sampled unit x and t in {1/2, 2};
+        relative divides it by the largest |gauge(x)|."""
         dirs = sample_directions(samples, self.d)
-        res = 0.0
         base = self.f0_many(dirs)
-        for lam in (0.5, 2.0):
-            res = max(res, float(np.abs(self.f0_many(lam * dirs) - lam * base).max()))
-        return res
+        res = max(float(np.abs(self.f0_many(lam * dirs) - lam * base).max())
+                  for lam in (0.5, 2.0))
+        return res / float(np.abs(base).max()) if relative else res
 
     def verify_duality(self, samples: int = 100, seed: int = 42) -> dict:
         """Max residuals of the inverse-gauge identities over random samples.
@@ -687,5 +688,12 @@ def make_norm(
     if kind == "custom":
         if not f0_expr:
             raise NormError("custom norm needs f0_expr")
-        return ExpressionNorm(expr_mod.parse(f0_expr, dim=dim), name="custom")
+        norm = ExpressionNorm(expr_mod.parse(f0_expr, dim=dim), name="custom")
+        res = norm.homogeneity_residual(relative=True)
+        if not res <= HOMOGENEITY_TOL:  # written so that NaN fails
+            raise NormError(
+                "custom gauge is not positively 1-homogeneous: "
+                f"|gauge(t x) - t gauge(x)| reaches {res:.3g} of max gauge(x)"
+            )
+        return norm
     raise NormError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")

@@ -242,10 +242,17 @@ class GeometryBundle:
 
     @cached_property
     def kappaF(self) -> np.ndarray:  # (N, n) anisotropic principal curvatures
-        a, b, hh = self.parts["a"], self.parts["b"], self.hhat
-        c = hh[:, 0, 0] * hh[:, 1, 1] - hh[:, 0, 1] ** 2
-        disc = np.sqrt(np.maximum(b**2 - 4.0 * a * c, 0.0))
-        return np.stack([(b - disc) / (2 * a), (b + disc) / (2 * a)], axis=1)
+        # eigenvalues of M = L^-1 hhat L^-T, ghat = L L^T (Cholesky): the
+        # symmetric M has the discriminant ((m11 - m22)/2)^2 + m12^2, a sum of
+        # squares, so nearly equal curvatures keep their digits
+        p = self.parts
+        g11, a, t = p["ghat11"], p["a"], p["ghat12"] / p["ghat11"]
+        h11, h12, h22 = (p[k] / self.F for k in ("h11", "h12", "h22"))
+        m11 = h11 / g11
+        m12 = (h12 - t * h11) / np.sqrt(a)
+        m22 = (g11 / a) * (h22 - 2.0 * t * h12 + t * t * h11)
+        mean, r = 0.5 * (m11 + m22), np.hypot(0.5 * (m11 - m22), m12)
+        return np.stack([mean - r, mean + r], axis=1)
 
     @cached_property
     def Hk(self) -> np.ndarray:  # (N, n+1) normalized symmetric functions
@@ -259,8 +266,10 @@ class GeometryBundle:
     def diffusion_max(self) -> float:
         # explicit-step diffusion bound: linearizing the speed in the frame
         # second derivatives of phi gives the matrix u_hat * ghat^{-1}
-        tr = self.parts["ghat11"] + self.parts["ghat22"]
-        lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * self.parts["a"], 0.0)))
+        # the eigenvalue gap of ghat as sqrt((g11 - g22)^2 + 4 g12^2), not as
+        # sqrt(tr^2 - 4 det), which cancels where the eigenvalues nearly agree
+        g11, g12, g22 = (self.parts[k] for k in ("ghat11", "ghat12", "ghat22"))
+        lam_min = 0.5 * (g11 + g22 - np.hypot(g11 - g22, 2.0 * g12))
         return float(np.max(self.u_hat / lam_min))
 
     def quad(self, values: np.ndarray, pole_value: float | None = None) -> float:

@@ -9,6 +9,7 @@ import pytest
 
 from capflow import checks, cli
 from capflow.cli import main
+from capflow.norms import QUARTIC_A2_TEXT, make_norm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,6 +51,33 @@ def test_bad_input_rejected_at_load(tmp_path, capsys, command, cfg):
     assert main([command, write(tmp_path, "b.cfg", cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("simulate", "flow.omega0 = -0.3\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"),
+    ("check-condition", "condition.omega0 = -0.3\n"),
+    ("norm-info", ""),
+])
+def test_gauge_that_is_not_one_homogeneous_exit_two(tmp_path, capsys, command, extra):
+    cfg = "norm.kind = custom\nnorm.f0_expr = x^2+y^2+z^2\n" + extra + "output.dir = out\n"
+    assert main([command, write(tmp_path, "h.cfg", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "1-homogeneous" in err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_quartic_expression_passes_the_homogeneity_check():
+    norm = make_norm("custom", f0_expr=QUARTIC_A2_TEXT)
+    assert norm.homogeneity_residual(relative=True) < 1e-14
+
+
+def test_output_file_that_cannot_be_written_exit_three(tmp_path, capsys):
+    (tmp_path / "out" / "trace.csv").mkdir(parents=True)
+    cfg = ("norm.kind = sphere\nflow.omega0 = -0.5\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"
+           "flow.t_end = 0.01\noutput.dir = out\n")
+    assert main(["simulate", write(tmp_path, "w.cfg", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "trace.csv" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("suite", list(checks.SUITES))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from capflow.norms import make_norm
 from capflow.surface import (
+    GeometryBundle,
     GraphSurface,
     HalfSphereGrid,
     SurfaceError,
@@ -301,3 +302,42 @@ class TestCarriedJets:
         fresh = geometry(nxt, norm, omega0, anchor, warm=b, dual_tol=1e-9)
         for name in self.FIELDS:
             assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
+
+
+class TestNearlyUmbilic:
+    """kappaF and diffusion_max where ghat has nearly equal eigenvalues."""
+
+    @staticmethod
+    def bundle(ghat, hhat):
+        (g11, g12), (_, g22) = ghat
+        (h11, h12), (_, h22) = hhat
+        parts = dict(ghat11=np.array([g11]), ghat12=np.array([g12]), ghat22=np.array([g22]),
+                     a=np.array([g11 * g22 - g12 * g12]),
+                     h11=np.array([h11]), h12=np.array([h12]), h22=np.array([h22]))
+        one = np.ones(1)
+        return GeometryBundle(None, None, 0.0, None, (1, 1), None, one, one, one, None, one,
+                              one, one, one, None, None, parts)
+
+    def test_diagonal_metric(self):
+        # ghat = diag(1, 1 + 1e-9), hhat = I: kappaF = 1/(1 + 1e-9) and 1, and
+        # the smallest eigenvalue of ghat is 1; tr^2 - 4 det cancels to 1e-18
+        # against rounding of 4e-16 here, which cost half the digits
+        gap = 1e-9
+        b = self.bundle(((1.0, 0.0), (0.0, 1.0 + gap)), ((1.0, 0.0), (0.0, 1.0)))
+        np.testing.assert_allclose(b.kappaF[0], [1.0 / (1.0 + gap), 1.0], rtol=4e-16, atol=0)
+        assert b.diffusion_max == pytest.approx(1.0, rel=4e-16, abs=0)
+
+    @given(angle=st.floats(0.0, np.pi), gap=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+           k=st.floats(0.2, 5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_rotated_metric(self, angle, gap, k):
+        # ghat = R^T diag(1, 1 + gap) R and hhat = k R^T diag(1, 1 + 2 gap) R:
+        # the curvatures are k and k (1 + 2 gap)/(1 + gap), ghat's eigenvalues 1, 1 + gap
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, s], [-s, c]])
+        ghat = rot.T @ np.diag([1.0, 1.0 + gap]) @ rot
+        hhat = k * rot.T @ np.diag([1.0, 1.0 + 2.0 * gap]) @ rot
+        b = self.bundle(ghat, hhat)
+        want = [k, k * (1.0 + 2.0 * gap) / (1.0 + gap)]
+        np.testing.assert_allclose(b.kappaF[0], want, rtol=2e-15, atol=0)
+        assert b.diffusion_max == pytest.approx(1.0, rel=2e-15, abs=0)
