@@ -171,7 +171,8 @@ def boundary_enforce(
     beta = pi/2.  Newton on <Psi(nu), -E_up> = omega0, which is monotone in
     the ghost unknown because the support Hessian is positive on tangent
     directions.  Returns the final max residual.  warm_state carries the
-    maximizers and their gauge jets from one call to the next.
+    maximizers and their order-2 gauge jets, in component form, from one
+    call to the next.
     """
     grid = surface.grid
     if grid.n != 2:
