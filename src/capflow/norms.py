@@ -386,9 +386,9 @@ class Norm:
         """max |gauge(t x) - t gauge(x)| over sampled unit x and t in {1/2, 2};
         relative divides it by the largest |gauge(x)|."""
         dirs = sample_directions(samples, self.d)
-        base = self.f0_many(dirs)
-        res = max(float(np.abs(self.f0_many(lam * dirs) - lam * base).max())
-                  for lam in (0.5, 2.0))
+        lams = np.array([1.0, 0.5, 2.0])[:, None]
+        base, *scaled = self.f0_many((lams[:, :, None] * dirs).reshape(-1, self.d)).reshape(3, -1)
+        res = max(float(np.abs(v - lam * base).max()) for v, lam in zip(scaled, lams[1:, 0]))
         return res / float(np.abs(base).max()) if relative else res
 
     def verify_duality(self, samples: int = 100, seed: int = 42) -> dict:
