@@ -82,8 +82,6 @@ def _parse_value(key: str, raw: str, base_dir: str):
         return int(raw)
     if kind is float:
         return float(raw)
-    if raw in ("true", "false"):
-        return raw == "true"
     return raw
 
 

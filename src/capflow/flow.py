@@ -19,22 +19,19 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import CapflowError
-from .norms import Norm, adjugate3, as_components, metric_components
+from .norms import Norm, adjugate3, metric_components
 from .surface import (
     GeometryBundle,
     GraphSurface,
     HalfSphereGrid,
-    SliceSupportTable,
-    boundary_capillarity_residual,
     capillary_area,
     enclosed_volume,
     export_obj,
     geometry,
     minkowski_residual,
-    quermassintegral_boundary,
     quermassintegral_interior,
 )
-from .wulff import AnchorVector, CapillaryWulffShape, TranslatedNorm, anchor_vector
+from .wulff import AnchorVector, CapillaryWulffShape, anchor_vector
 
 
 class FlowError(RuntimeError, CapflowError):
@@ -112,9 +109,7 @@ class FlowTrace:
         errs = rate_checks(self)
         lines = [",".join(TRACE_COLUMNS)]
         for i, r in enumerate(self.records):
-            row = dict(r)
-            row["rate_err_k0"] = errs["err_k0"][i]
-            row["rate_err_k1"] = errs["err_k1"][i]
+            row = dict(r, rate_err_k0=errs["err_k0"][i], rate_err_k1=errs["err_k1"][i])
             lines.append(",".join(f"{row[c]:.12g}" for c in TRACE_COLUMNS))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -195,7 +190,7 @@ def boundary_enforce(
         w[2] = p_b
         # jets depend only on z, so the last iterate's jets start the next solve
         f_val, z, _, ok, jets = norm.support_many(
-            w.T, z0=z, tol=min(tol, 1e-10), return_jets="components", jets0=jets
+            w.T, z0=z, tol=min(tol, 1e-10), return_jets=True, jets0=jets
         )
         if not np.all(ok):
             bad = int(np.argmax(~ok))
@@ -219,12 +214,11 @@ def boundary_enforce(
     return res
 
 
-def support_hessian_zz(norm: Norm, w: np.ndarray, z: np.ndarray, jets) -> np.ndarray:
+def support_hessian_zz(norm: Norm, w: np.ndarray, z: np.ndarray,
+                       comps: np.ndarray) -> np.ndarray:
     """[D^2 support]_{33} at directions w (N, 3), maximizers z (N, 3) and the
-    order-2 jets at z (a Jet or a component array): the last entry of
-    (I - z Dgauge^T) G^-1 / <w, z>, from the third column of the adjugate of
-    G alone."""
-    comps = as_components(jets)
+    gauge_components array at z: the last entry of (I - z Dgauge^T) G^-1 /
+    <w, z>, from the third column of the adjugate of G alone."""
     adj, det = adjugate3(metric_components(comps, norm.d))
     # the third column of the adjugate: components 02, 12, 22
     grad_adj = comps[1] * adj[2] + comps[2] * adj[4] + comps[3] * adj[5]
@@ -378,18 +372,6 @@ def _advance(surface: GraphSurface, bundle: GeometryBundle, dt: float,
         raise BlowUpError("phi out of range")
 
 
-def _radial_ratio(
-    surface: GraphSurface,
-    unit_shape: CapillaryWulffShape,
-    base: np.ndarray | None = None,
-) -> np.ndarray:
-    grid = surface.grid
-    if base is None:
-        dirs = grid.directions().reshape(-1, 3)
-        base = unit_shape.radial_many(dirs).reshape(grid.n_beta + 1, grid.n_lambda)
-    return np.exp(surface.phi[: grid.n_beta + 1]) / base
-
-
 def run(config: FlowConfig):
     """Run the flow to convergence or t_end; returns (trace, final surface).
 
@@ -402,11 +384,11 @@ def run(config: FlowConfig):
     anchor = anchor_vector(norm, omega0)
     surface = initial_surface(config, anchor)
     grid = surface.grid
-    unit_shape = CapillaryWulffShape(norm, 1.0, omega0, anchor)
-    unit_radial = unit_shape.radial_many(
+    unit_radial = CapillaryWulffShape(norm, 1.0, omega0, anchor).radial_many(
         grid.directions().reshape(-1, 3)
     ).reshape(grid.n_beta + 1, grid.n_lambda)
-    table = SliceSupportTable(TranslatedNorm(norm, omega0, anchor))
+    # volume of the unit cap, by the quadrature of enclosed_volume
+    v0_unit = grid.quad(unit_radial[1:] ** 3, unit_radial[0, 0] ** 3) / 3
     trace = FlowTrace()
 
     # containment barriers from the initial data
@@ -424,9 +406,6 @@ def run(config: FlowConfig):
 
     bundle = geometry(surface, norm, omega0, anchor)
     trace.min_ubar_initial = float(bundle.u_bar.min())
-    v0_unit = enclosed_volume(
-        geometry(GraphSurface.from_wulff(grid, unit_shape), norm, omega0, anchor)
-    )
     if config.dt_override is None:
         dt = time_step(grid, bundle.diffusion_max, config.cfl_sigma)
         diffusion = stabilized_diffusion(grid, config.cfl_sigma)
@@ -450,25 +429,19 @@ def run(config: FlowConfig):
             "V1_boundary": v1b,
             "V1_interior": v1i,
             "V2_interior": quermassintegral_interior(b, 1),
-            "V2_boundary": quermassintegral_boundary(b, 1, table),
             "supF": float(np.abs(b.f).max()),
             "min_kappaF": float(b.kappaF.min()),
             "min_ubar": float(b.u_bar.min()),
             "mink_res_k0": minkowski_residual(b, 0),
             "mink_res_k1": minkowski_residual(b, 1),
-            "bc_residual": boundary_capillarity_residual(b),
-            "rate_err_k0": 0.0,
-            "rate_err_k1": 0.0,
             # instantaneous rate integrals for the post-hoc comparisons
             "rate_V1": -grid.n / ((grid.n + 1) * (grid.n - 1))
             * b.quad(b.trace_free_sq() * b.u_hat * b.F * b.area_el),
             "rate_V2": (grid.n - 1) / (grid.n + 1)
             * b.quad(b.f * b.Hk[:, 2] * b.F * b.area_el),
-            "rate_V1_speed": grid.n / (grid.n + 1)
-            * b.quad(b.f * b.Hk[:, 1] * b.F * b.area_el),
             "steps": trace.steps,
         }
-        ratio = _radial_ratio(b.surface, unit_shape, base=unit_radial)
+        ratio = np.exp(b.surface.phi[: grid.n_beta + 1]) / unit_radial
         rec["ratio_min"] = float(ratio.min())
         rec["ratio_max"] = float(ratio.max())
         trace.barrier_violation = max(
@@ -522,7 +495,7 @@ def run(config: FlowConfig):
     # convergence fit: radius from volume, deviation along grid rays
     v0 = trace.records[-1]["V0"]
     trace.r0 = (v0 / v0_unit) ** (1.0 / (grid.n + 1))
-    ratio = _radial_ratio(surface, unit_shape, base=unit_radial)
+    ratio = np.exp(surface.phi[: grid.n_beta + 1]) / unit_radial
     trace.radial_deviation = float(np.abs(ratio - trace.r0).max())
     return trace, surface
 

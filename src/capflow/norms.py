@@ -1,13 +1,13 @@
 """Minkowski norms, dual support solves, and the derived tensors.
 
 A norm object exposes the gauge function together with its derivatives up to
-third order, as a `Jet` of (N, d) and (N, d, d) arrays and, up to order two,
-as one component-major array (see `gauge_components`).  From those it
-derives the support function of the unit ball and its maximizers (the
-Cahn-Hoffman points) by a Newton solve on the level set, eliminated through
-the metric and run on the component arrays; the squared-gauge Hessian
-metric; its third-derivative tensor; and the curvature matrix of the support
-function.
+third order as a `Jet` of (N, d) and (N, d, d) arrays.  Order-2 jets pass
+between modules in one form only: the component-major array of
+`gauge_components`.  From those it derives the support function of the unit
+ball and its maximizers (the Cahn-Hoffman points) by a Newton solve on the
+level set, eliminated through the metric and run on the component arrays;
+the squared-gauge Hessian metric; its third-derivative tensor; and the
+curvature matrix of the support function.
 """
 
 from __future__ import annotations
@@ -111,11 +111,6 @@ def components_jet(comps: np.ndarray, d: int) -> Jet:
                triangle_matrices(comps[d + 1 :], d), None)
 
 
-def as_components(jets) -> np.ndarray:
-    """Order-2 jets given as a Jet or a component array, as the latter."""
-    return jet_components(jets) if isinstance(jets, Jet) else jets
-
-
 def metric_components(comps: np.ndarray, d: int) -> np.ndarray:
     """Upper triangle of G = gauge*Hess + Dgauge Dgauge^T, (d(d+1)/2, N)."""
     i, j = _triangle(d)
@@ -159,14 +154,6 @@ def adjugate3(g: np.ndarray):
     return adj, g00 * adj[0] + g01 * adj[1] + g02 * adj[2]
 
 
-def metric_solve(g_mat: np.ndarray, rhs: np.ndarray, name: str = "norm") -> np.ndarray:
-    """Solve G x = rhs for a batch of symmetric metrics G (N,d,d), rhs (N,d,k),
-    by solve_components on the upper triangles."""
-    i, j = _triangle(g_mat.shape[-1])
-    x = solve_components(g_mat[:, i, j].T, rhs.transpose(1, 2, 0), name)
-    return np.ascontiguousarray(x.transpose(2, 0, 1))
-
-
 class Norm:
     """A smooth elliptic gauge on R^d with derivative oracles.
 
@@ -203,8 +190,8 @@ class Norm:
         xs: np.ndarray,
         z0: np.ndarray | None = None,
         tol: float = DUAL_TOL,
-        return_jets: bool | str = False,
-        jets0: Jet | np.ndarray | None = None,
+        return_jets: bool = False,
+        jets0: np.ndarray | None = None,
     ):
         """Support values and maximizers for a batch of directions xs (N, d).
 
@@ -216,12 +203,11 @@ class Norm:
         G = gauge*Hess + Dgauge Dgauge^T:  G w = r_x, ds = <Dgauge, w>,
         dz = (gauge/s) w - (ds/s + r_g/gauge) z.  The loop runs on
         component-major arrays, (d, N) points and gauge_components jets, for
-        every d; only the rows above tol take a step.  jets0, the order-2
-        gauge jets at z0 as a Jet or a component array, spares the start-up
-        evaluation.  Returns (values, maximizers (N, d), iterations,
-        converged_mask) and, with return_jets, the gauge jets at the
-        maximizers as a fifth item: a Jet, or the component array for
-        return_jets = "components".
+        every d; only the rows above tol take a step.  jets0, the
+        gauge_components array at z0, spares the start-up evaluation.
+        Returns (values, maximizers (N, d), iterations, converged_mask) and,
+        with return_jets, the gauge_components array at the maximizers as a
+        fifth item.
         """
         xs = np.asarray(xs, dtype=float)
         n, d = xs.shape
@@ -230,7 +216,7 @@ class Norm:
             raise NormError("support direction must be nonzero")
         x = np.ascontiguousarray(xs.T)
         start = x if z0 is None else np.ascontiguousarray(np.asarray(z0, dtype=float).T)
-        jets = self.gauge_components(start) if jets0 is None else as_components(jets0)
+        jets = self.gauge_components(start) if jets0 is None else jets0
         # rescale the jets onto the unit level set by homogeneity instead of
         # re-evaluating: grad is 0-homogeneous, hess is (-1)-homogeneous
         c = jets[0]
@@ -278,8 +264,6 @@ class Norm:
         z = np.ascontiguousarray(z.T)
         if not return_jets:
             return s, z, iterations, converged
-        if return_jets != "components":
-            jet = components_jet(jet, d)
         return s, z, iterations, converged, jet
 
     def support(self, x) -> DualSolveResult:
@@ -309,16 +293,14 @@ class Norm:
         return symmetrize_third(q)
 
     def support_hessian_many(
-        self,
-        nus: np.ndarray,
-        maximizers: np.ndarray | None = None,
-        jets: Jet | None = None,
+        self, nus: np.ndarray, maximizers: np.ndarray | None = None
     ) -> np.ndarray:
-        """Ambient Hessian of the support function at directions nu.
+        """Ambient Hessian of the support function at directions nu, (N, d, d).
 
         Uses the inverse-function identity against the metric of the gauge:
         support_value(nu) * D2(support)(nu) = (I - outer(z, Dgauge(z))) G(z)^-1
-        with z the touching point for nu.  Restricted to the tangent plane of
+        with z the touching point for nu.  G^-1 comes from solve_components on
+        the gauge_components jets at z.  Restricted to the tangent plane of
         the direction sphere this is the curvature matrix of the unit ball.
         """
         nus = np.asarray(nus, dtype=float)
@@ -326,13 +308,12 @@ class Norm:
             _, maximizers, _, ok = self.support_many(nus)
             if not np.all(ok):
                 raise DualSolveError(f"support solve failed for {self.name}")
-        z = maximizers
-        if jets is None:
-            jets = self.gauge_jets(z, order=2)
-        g_mat = self.metric_G_many(z, jets=jets)
-        eye = np.eye(self.d)[None, :, :]
-        g_inv = metric_solve(g_mat, np.broadcast_to(eye, g_mat.shape), self.name)
-        proj = eye - np.einsum("ni,nj->nij", z, jets.grad)
+        z, d = maximizers, self.d
+        comps = self.gauge_components(np.ascontiguousarray(z.T))
+        eye = np.eye(d)
+        rhs = np.broadcast_to(eye[:, :, None], (d, d, len(z)))
+        g_inv = solve_components(metric_components(comps, d), rhs, self.name).transpose(2, 0, 1)
+        proj = eye - np.einsum("ni,nj->nij", z, comps[1 : d + 1].T)
         f_val = np.einsum("ni,ni->n", nus, z)
         return np.einsum("nij,njk->nik", proj, g_inv) / f_val[:, None, None]
 
@@ -385,11 +366,15 @@ class Norm:
     def homogeneity_residual(self, samples: int = 200, relative: bool = False) -> float:
         """max |gauge(t x) - t gauge(x)| over sampled unit x and t in {1/2, 2};
         relative divides it by the largest |gauge(x)|."""
+        base, res = self._homogeneity_sample(samples)
+        return res / float(np.abs(base).max()) if relative else res
+
+    def _homogeneity_sample(self, samples: int):
+        """gauge(x) on the sampled unit x, and the absolute homogeneity residual."""
         dirs = sample_directions(samples, self.d)
         lams = np.array([1.0, 0.5, 2.0])[:, None]
         base, *scaled = self.f0_many((lams[:, :, None] * dirs).reshape(-1, self.d)).reshape(3, -1)
-        res = max(float(np.abs(v - lam * base).max()) for v, lam in zip(scaled, lams[1:, 0]))
-        return res / float(np.abs(base).max()) if relative else res
+        return base, max(float(np.abs(v - lam * base).max()) for v, lam in zip(scaled, lams[1:, 0]))
 
     def verify_duality(self, samples: int = 100, seed: int = 42) -> dict:
         """Max residuals of the inverse-gauge identities over random samples.
@@ -454,10 +439,7 @@ class QuadraticNorm(Norm):
         ok = np.ones(xs.shape[0], dtype=bool)
         if not return_jets:
             return val, z, 0, ok
-        jets = self.gauge_components(np.ascontiguousarray(z.T))
-        if return_jets != "components":
-            jets = components_jet(jets, self.d)
-        return val, z, 0, ok, jets
+        return val, z, 0, ok, self.gauge_components(np.ascontiguousarray(z.T))
 
 
 class ExpressionNorm(Norm):
@@ -689,11 +671,15 @@ def make_norm(
         if not f0_expr:
             raise NormError("custom norm needs f0_expr")
         norm = ExpressionNorm(expr_mod.parse(f0_expr, dim=dim), name="custom")
-        res = norm.homogeneity_residual(relative=True)
+        base, res = norm._homogeneity_sample(200)
+        res /= float(np.abs(base).max())
         if not res <= HOMOGENEITY_TOL:  # written so that NaN fails
             raise NormError(
                 "custom gauge is not positively 1-homogeneous: "
                 f"|gauge(t x) - t gauge(x)| reaches {res:.3g} of max gauge(x)"
             )
+        if not base.min() > 0.0:
+            raise NormError(f"custom gauge is not positive: it reaches {base.min():.3g} "
+                            "on a unit direction")
         return norm
     raise NormError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")

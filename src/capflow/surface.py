@@ -454,7 +454,7 @@ def geometry(
         nu = (u - (p[:, :, None] * frame).sum(axis=1)) / v[:, None]
     z0, jets0 = (None, None) if warm is None else (warm.maximizers, warm.maximizer_jets)
     f_val, xi, _, ok, xi_jets = norm.support_many(
-        nu, z0=z0, tol=dual_tol, return_jets="components", jets0=jets0
+        nu, z0=z0, tol=dual_tol, return_jets=True, jets0=jets0
     )
     if not np.all(ok):
         raise SurfaceError(f"dual solve failed at {int(np.sum(~ok))} nodes")

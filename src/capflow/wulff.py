@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import CapflowError
-from .norms import Norm, ShiftedGaugeNorm, sample_directions
+from .norms import Norm, sample_directions
 
 
 class WulffError(ValueError, CapflowError):
@@ -196,16 +196,6 @@ class TranslatedNorm:
         self.eta = self.omega0 * self.anchor.e_f
         if float(np.linalg.norm(self.eta)) > 0 and base.f0(-self.eta) >= 1.0:
             raise WulffError("translated ball does not contain the origin")
-        self._gauge: ShiftedGaugeNorm | None = None
-
-    @property
-    def gauge(self) -> ShiftedGaugeNorm:
-        """Gauge of the translated ball (lazy; shares the base jets)."""
-        if self._gauge is None:
-            self._gauge = ShiftedGaugeNorm(
-                self.base, self.eta, name=f"translated-{self.base.name}"
-            )
-        return self._gauge
 
     def tilde_support(self, x) -> float:
         """Support function of the translated ball."""

@@ -13,7 +13,8 @@ from capflow.norms import QUARTIC_A2_TEXT, make_norm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-NO_DUAL = "norm.kind = custom\nnorm.f0_expr = x+y+z\n"  # flat faces: singular G
+NO_DUAL = "norm.kind = custom\nnorm.f0_expr = sqrt((x+y+z)^2)\n"  # flat slab: singular G
+NEGATIVE = "norm.kind = custom\nnorm.f0_expr = sqrt(x^2+y^2+z^2)+1.5*z\n"  # -0.5 at -E3
 OFF_DOMAIN = "norm.kind = custom\nnorm.dim = 4\nnorm.f0_expr = sqrt(x^2+y^2+z^2)\n"
 
 
@@ -45,6 +46,10 @@ def test_numerical_failure_at_setup_exit_three(tmp_path, capsys, command, cfg):
     ("norm-info", "norm.kind = ellipsoid\nnorm.params = [1, inf, 1]\n"),
     ("check-condition",
      "norm.kind = sphere\ncondition.omega0 = -0.3\noutput.dir = afile/sub\n"),
+    ("norm-info", "norm.kind = custom\nnorm.f0_expr = true\n"),
+    ("simulate", NEGATIVE + "flow.omega0 = -0.3\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"),
+    ("check-condition", NEGATIVE + "condition.omega0 = -0.3\n"),
+    ("norm-info", NEGATIVE),
 ])
 def test_bad_input_rejected_at_load(tmp_path, capsys, command, cfg):
     (tmp_path / "afile").write_text("a regular file", encoding="utf-8")

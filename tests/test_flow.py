@@ -24,8 +24,9 @@ from capflow.flow import (
     support_hessian_zz,
     time_step,
 )
+from capflow.checks import static_cap_bundle
 from capflow.norms import make_norm
-from capflow.surface import GraphSurface, HalfSphereGrid, geometry
+from capflow.surface import GraphSurface, HalfSphereGrid, enclosed_volume, geometry
 from capflow.wulff import CapillaryWulffShape, anchor_vector
 
 SPHERE = make_norm("sphere")
@@ -105,7 +106,7 @@ class TestBoundaryDerivative:
                      axis=1)
         _, z, _, ok, jets = norm.support_many(w, return_jets=True)
         assert np.all(ok)
-        want = norm.support_hessian_many(w, maximizers=z, jets=jets)[:, 2, 2]
+        want = norm.support_hessian_many(w, maximizers=z)[:, 2, 2]
         np.testing.assert_allclose(support_hessian_zz(norm, w, z, jets), want,
                                    rtol=1e-12, atol=1e-12)
 
@@ -296,6 +297,18 @@ class TestRun:
         assert np.all(np.diff(t) > 0)
         for rec in trace.records:
             assert all(np.isfinite(v) for v in rec.values())
+
+    @pytest.mark.parametrize("kind,omega0", [("sphere", -0.5), ("quartic_a2", -0.3)])
+    def test_r0_matches_the_unit_cap(self, kind, omega0):
+        norm = make_norm(kind)
+        trace, surface = run(FlowConfig(norm=norm, omega0=omega0, n_beta=16, n_lambda=32,
+                                        t_end=0.005))
+        unit = static_cap_bundle(norm, omega0, 16, 32)
+        r0 = (trace.records[-1]["V0"] / enclosed_volume(unit)) ** (1.0 / 3.0)
+        ratio = np.exp(surface.phi[:17]) / np.exp(unit.surface.phi[:17])
+        np.testing.assert_allclose(trace.r0, r0, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(trace.radial_deviation, np.abs(ratio - r0).max(),
+                                   rtol=1e-12, atol=0.0)
 
     def test_trace_csv_schema(self, tmp_path):
         cfg = FlowConfig(norm=SPHERE, omega0=0.0, n_beta=32, n_lambda=64,

@@ -18,8 +18,7 @@ from capflow.norms import (
     fibonacci_sphere,
     jet_components,
     make_norm,
-    metric_solve,
-    random_directions,
+    solve_components,
 )
 
 SPHERE = make_norm("sphere")
@@ -278,6 +277,12 @@ def bordered_support(norm, x, tol=DUAL_TOL):
     return s, z
 
 
+def solve_metrics(g_mat, rhs):
+    """solve_components on the upper triangles of G (N, d, d), rhs (N, d, k)."""
+    i, j = np.triu_indices(g_mat.shape[-1])
+    return solve_components(g_mat[:, i, j].T, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
 class TestEliminatedSolve:
     @given(
         kind=st.sampled_from(sorted(SOLVE_NORMS)),
@@ -315,13 +320,13 @@ class TestEliminatedSolve:
         xs = np.array([direction(a, norm.d) for a in angles])
         _, z, _, _ = norm.support_many(xs)
         z0 = z * (1.0 + shift) + shift * np.roll(z, 1, axis=1)
-        jets0 = norm.gauge_jets(z0, order=2)
+        jets0 = norm.gauge_components(np.ascontiguousarray(z0.T))
         given_jets = norm.support_many(xs, z0=z0, jets0=jets0)
         recomputed = norm.support_many(xs, z0=z0)
         for a, b in zip(given_jets, recomputed):
             assert np.array_equal(a, b)
         # the caller's jets are not modified
-        assert np.array_equal(jets0.grad, norm.gauge_jets(z0, order=2).grad)
+        assert np.array_equal(jets0, norm.gauge_components(np.ascontiguousarray(z0.T)))
 
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 20))
     @settings(max_examples=50, deadline=None)
@@ -330,7 +335,7 @@ class TestEliminatedSolve:
         m = rng.standard_normal((count, 3, 3))
         g_mat = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(3)
         rhs = rng.standard_normal((count, 3, 2))
-        got = metric_solve(g_mat, rhs)
+        got = solve_metrics(g_mat, rhs)
         want = np.linalg.solve(g_mat, rhs)
         bound = 1e-12 * np.linalg.cond(g_mat)[:, None, None] * np.abs(want).max()
         assert np.all(np.abs(got - want) <= bound)
@@ -342,11 +347,11 @@ class TestEliminatedSolve:
         rank_one = good.copy()
         rank_one[1] = np.outer(np.arange(1.0, d + 1), np.arange(1.0, d + 1))
         with pytest.raises(DualSolveError):
-            metric_solve(rank_one, rhs)
+            solve_metrics(rank_one, rhs)
         not_finite = good.copy()
         not_finite[0, 0, 1] = not_finite[0, 1, 0] = np.nan
         with pytest.raises(DualSolveError):
-            metric_solve(not_finite, rhs)
+            solve_metrics(not_finite, rhs)
 
     def test_singular_metric_in_the_solve_raises(self):
         # at an axis point of the l4 ball the Hessian vanishes and G is rank one
@@ -393,7 +398,7 @@ class TestComponentJets:
     def test_four_dimensional_solve_on_components(self, angles, length):
         norm = SOLVE_NORMS["custom_d4"]
         xs = length * np.array([direction(a, 4) for a in angles])
-        s, z, _, ok, comps = norm.support_many(xs, return_jets="components")
+        s, z, _, ok, comps = norm.support_many(xs, return_jets=True)
         assert np.all(ok)
         # the returned jets are the gauge jets at the maximizers
         again = norm.gauge_components(np.ascontiguousarray(z.T))
@@ -402,17 +407,3 @@ class TestComponentJets:
         assert np.abs(comps[0] - 1.0).max() <= tol
         assert np.linalg.norm(xs - s[:, None] * comps[1:5].T, axis=1).max() <= tol
         assert np.all(np.abs(s - np.einsum("ni,ni->n", xs, z)) <= tol * (1.0 + s))
-
-    @pytest.mark.parametrize("kind", sorted(SOLVE_NORMS))
-    def test_jet_and_component_layouts_give_the_same_solve(self, kind):
-        norm = SOLVE_NORMS[kind]
-        xs = random_directions(40, norm.d, seed=7)
-        _, z, _, _ = norm.support_many(xs)
-        z0 = 1.01 * z + 0.02 * np.roll(z, 1, axis=1)
-        as_jet = norm.support_many(xs, z0=z0, return_jets=True,
-                                   jets0=norm.gauge_jets(z0, order=2))
-        as_comps = norm.support_many(xs, z0=z0, return_jets="components",
-                                     jets0=norm.gauge_components(np.ascontiguousarray(z0.T)))
-        for a, b in zip(as_jet[:4], as_comps[:4]):
-            assert np.array_equal(a, b)
-        assert np.array_equal(jet_components(as_jet[4]), as_comps[4])

@@ -9,7 +9,7 @@ every traced benchmark run.  This test loads the tracer from its file
 import importlib.util
 from pathlib import Path
 
-from capflow import norms
+from capflow import condition, norms
 from capflow.flow import FlowConfig, run
 from capflow.norms import make_norm
 
@@ -43,3 +43,20 @@ def test_every_target_resolves_and_support_spans_are_recorded():
     assert agg["newton_iters"] > 0 and agg["boundary_newton"] > 0
     # leaving the tracer restores every patched name
     assert norms.Norm.__dict__["support_many"] is original
+
+
+def test_admissibility_check_spans_are_recorded():
+    tracer = load_tracer()
+    check, hessian = condition.condition_check, norms.Norm.__dict__["support_hessian_many"]
+    with tracer.Tracer() as t:
+        # through the module attribute, which the tracer patches
+        report = condition.condition_check(make_norm("quartic_a3", [0.3]), 0.3,
+                                           slice_samples=16)
+    assert report.both_forms_agree
+    names = {rec[tracer.NAME] for rec in t.spans}
+    for name in ("condition.condition_check", "norms.support_hessian_many",
+                 "norms.tensor_Q_many", "wulff.transfer_G_Q_many"):
+        assert name in names, name
+    # leaving the tracer restores every patched name
+    assert condition.condition_check is check
+    assert norms.Norm.__dict__["support_hessian_many"] is hessian
