@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import CapflowError
 from .norms import Norm, adjugate3, metric_components
@@ -280,44 +279,49 @@ class ImplicitDiffusion:
     lam_m = (2 - 2 cos(m dlam)) / dlam^2) rows 1..n_beta read (x+ - 2x + x-)/
     dbeta^2 + cot(beta) (x+ - x-)/(2 dbeta) - lam_m x/sin^2(beta), closed by
     x_{n_beta+1} = x_{n_beta-1}; the pole row is 4 (x_1 - x_0)/dbeta^2 for
-    m = 0 and x_0 = 0 for m >= 1.  The modes form one tridiagonal system in
-    beta, factored once.  (I - c L) is an M-matrix: x is no larger than delta.
+    m = 0 and x_0 = 0 for m >= 1.  Each mode's tridiagonal matrix is inverted
+    once, in one batch: (n_beta + 1)^2 (n_lambda/2 + 1) doubles.  (I - c L) is
+    an M-matrix: x is no larger than delta.
     """
 
     def __init__(self, grid: HalfSphereGrid, c: float):
-        self.grid, self._factors = grid, None
+        self.grid, self._inverse = grid, None
         if c == 0.0:
             return
         nb, db = grid.n_beta, grid.dbeta
         beta = grid.betas[1:]
         cot = np.cos(beta) / np.sin(beta)
-        lower = np.concatenate(([0.0], 1.0 / db**2 - cot / (2 * db)))
-        upper = np.concatenate(([4.0 / db**2], 1.0 / db**2 + cot / (2 * db)))
-        lower[nb], upper[nb] = 2.0 / db**2, 0.0
+        lower = 1.0 / db**2 - cot / (2 * db)
+        upper = np.concatenate(([4.0 / db**2], 1.0 / db**2 + cot[:-1] / (2 * db)))
+        lower[-1] = 2.0 / db**2
         m = np.arange(grid.n_lambda // 2 + 1)
         lam_m = (2.0 - 2.0 * np.cos(m * grid.dlam)) / grid.dlam**2
         diag = np.empty((m.size, nb + 1))
         diag[:, 0] = np.where(m == 0, 4.0 / db**2, 0.0)
         diag[:, 1:] = 2.0 / db**2 + lam_m[:, None] / np.sin(beta) ** 2
-        sup = np.broadcast_to(upper, diag.shape).copy()
-        sup[1:, 0] = 0.0
-        sub = np.broadcast_to(lower, diag.shape)
-        *factors, info = dgttrf(
-            -c * sub.ravel()[1:], 1.0 + c * diag.ravel(), -c * sup.ravel()[:-1]
-        )
-        if info != 0:
-            raise FlowError(f"implicit diffusion factorization failed ({info})")
-        self._factors = factors
+        rows = np.arange(nb + 1)
+        mat = np.zeros((m.size, nb + 1, nb + 1))
+        mat[:, rows, rows] = 1.0 + c * diag
+        mat[:, rows[1:], rows[:-1]] = -c * lower
+        mat[:, rows[:-1], rows[1:]] = -c * upper
+        mat[1:, 0, 1] = 0.0
+        try:
+            inverse = np.linalg.inv(mat)
+        except np.linalg.LinAlgError as exc:
+            raise FlowError(f"implicit diffusion inverse failed ({exc})") from exc
+        if not np.isfinite(inverse).all():
+            raise FlowError("implicit diffusion inverse is not finite")
+        self._inverse = inverse
 
     def solve(self, delta: np.ndarray) -> np.ndarray:
         """x for the increment delta, shape (n_beta + 1, n_lambda), row 0 the pole."""
-        if self._factors is None:
+        if self._inverse is None:
             return delta
         spec = np.fft.rfft(delta, axis=1)
         spec[0, 1:] = 0.0
-        rhs = np.ascontiguousarray(spec.T).view(np.float64).reshape(-1, 2)
-        x, _ = dgttrs(*self._factors, rhs)
-        spec = np.ascontiguousarray(x).view(np.complex128).reshape(spec.shape[::-1]).T
+        rhs = np.ascontiguousarray(spec.T).view(np.float64).reshape(*spec.shape[::-1], 2)
+        x = self._inverse @ rhs
+        spec = np.ascontiguousarray(x).view(np.complex128)[..., 0].T
         return np.fft.irfft(spec, self.grid.n_lambda, axis=1)
 
 

@@ -196,22 +196,42 @@ def dense_laplacian(grid: HalfSphereGrid) -> np.ndarray:
 class TestImplicitDiffusion:
     GRID = HalfSphereGrid(2, 16, 32)
     LAPLACIAN = dense_laplacian(GRID)
+    BENCH_GRID = HalfSphereGrid(2, 24, 48)  # the sphere-converge benchmark grid
+    BENCH_LAPLACIAN = dense_laplacian(BENCH_GRID)
 
-    def increment(self, seed):
+    def increment(self, seed, grid=GRID):
         rng = np.random.default_rng(seed)
-        return rng.uniform(-1.0, 1.0, (self.GRID.n_beta + 1, self.GRID.n_lambda))
+        return rng.uniform(-1.0, 1.0, (grid.n_beta + 1, grid.n_lambda))
 
-    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(1e-6, 0.05))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_dense_real_space_solve(self, seed, c):
-        grid = self.GRID
-        delta = self.increment(seed)
+    def check_dense_solve(self, grid, laplacian, seed, c):
+        delta = self.increment(seed, grid)
         delta[0] = delta[0, 0]  # the pole is one node
-        x = np.linalg.solve(np.eye(len(self.LAPLACIAN)) - c * self.LAPLACIAN,
+        x = np.linalg.solve(np.eye(len(laplacian)) - c * laplacian,
                             np.concatenate(([delta[0, 0]], delta[1:].ravel())))
         got = ImplicitDiffusion(grid, c).solve(delta)
         assert np.abs(got[0] - x[0]).max() <= 1e-12
         assert np.abs(got[1:].ravel() - x[1:]).max() <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(1e-6, 0.05))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_real_space_solve(self, seed, c):
+        self.check_dense_solve(self.GRID, self.LAPLACIAN, seed, c)
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(1e-6, 0.05))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_dense_real_space_solve_on_the_benchmark_grid(self, seed, c):
+        self.check_dense_solve(self.BENCH_GRID, self.BENCH_LAPLACIAN, seed, c)
+
+    def test_singular_inverse_is_a_flow_error(self, monkeypatch):
+        def singular(mat):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(FlowError, match="Singular matrix"):
+            ImplicitDiffusion(self.GRID, 0.01)
+        monkeypatch.setattr(np.linalg, "inv", lambda mat: np.full(mat.shape, np.nan))
+        with pytest.raises(FlowError, match="not finite"):
+            ImplicitDiffusion(self.GRID, 0.01)
 
     @given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)

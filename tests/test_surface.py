@@ -172,6 +172,74 @@ class TestExport:
         assert n_f > 0
 
 
+class TrigTable:
+    """Stands in for a TranslatedNorm: the table a + b cos t + c sin 2t."""
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c
+
+    def slice_support_table(self, samples):
+        return self.value(np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+
+    def value(self, t):
+        return self.a + self.b * np.cos(t) + self.c * np.sin(2.0 * t)
+
+    def second(self, t):
+        return -self.b * np.cos(t) - 4.0 * self.c * np.sin(2.0 * t)
+
+
+COEFFS = st.tuples(st.floats(0.5, 2.0), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
+EPS = np.finfo(float).eps
+
+
+class TestSliceSupportTable:
+    A2_TABLE = SliceSupportTable(TranslatedNorm(A2, -0.3, anchor_vector(A2, -0.3)))
+
+    @given(coeffs=COEFFS, samples=st.sampled_from([16, 48, 1024]))
+    @settings(max_examples=30, deadline=None)
+    def test_reproduces_its_nodes(self, coeffs, samples):
+        for table in (SliceSupportTable(TrigTable(*coeffs), samples), self.A2_TABLE):
+            n = table.vals.size
+            nodes = 2.0 * np.pi * np.arange(n) / n
+            scale = np.abs(table.vals).max()
+            assert np.abs(table.value(nodes) - table.vals).max() <= 4 * EPS * scale
+            assert np.abs(table.value(nodes - 2.0 * np.pi) - table.vals).max() <= 16 * EPS * scale
+
+    @given(coeffs=COEFFS, theta=st.floats(-np.pi, 3 * np.pi), turns=st.integers(-3, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_periodic_under_mod(self, coeffs, theta, turns):
+        edges = np.array([theta, -1e-300, -1e-17, 0.0, 2.0 * np.pi, 2.0 * np.pi * (1 - EPS)])
+        for table in (SliceSupportTable(TrigTable(*coeffs), 64), self.A2_TABLE):
+            shifted = edges + 2.0 * np.pi * turns
+            assert np.abs(table.value(shifted) - table.value(edges)).max() <= 1e-12
+            assert np.abs(table.second(shifted) - table.second(edges)).max() <= 1e-10
+            assert np.abs(table.value(edges[1:4]) - table.vals[0]).max() <= 1e-15
+
+    @given(coeffs=COEFFS, samples=st.sampled_from([16, 48, 256]))
+    @settings(max_examples=20, deadline=None)
+    def test_second_derivatives_solve_the_periodic_system(self, coeffs, samples):
+        table = SliceSupportTable(TrigTable(*coeffs), samples)
+        h, y = table.h, table.vals
+        eye = np.eye(samples)
+        shift = np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)
+        m2 = np.linalg.solve(h / 6.0 * (4.0 * eye + shift), (shift - 2.0 * eye) @ y / h)
+        assert np.abs(table.m2 - m2).max() <= 1e-9 * max(1.0, np.abs(m2).max())
+
+    @given(coeffs=COEFFS)
+    @settings(max_examples=20, deadline=None)
+    def test_trigonometric_table_converges_at_second_order(self, coeffs):
+        exact = TrigTable(*coeffs)
+        theta = np.random.default_rng(0).uniform(-np.pi, 3 * np.pi, 500)
+        errors = []
+        for samples in (32, 64, 128):
+            table = SliceSupportTable(exact, samples)
+            errors.append((np.abs(table.value(theta) - exact.value(theta)).max(),
+                           np.abs(table.second(theta) - exact.second(theta)).max()))
+        for coarse, fine in zip(errors, errors[1:]):
+            for e_coarse, e_fine in zip(coarse, fine):
+                assert e_fine <= e_coarse / 3.5 + 1e-12
+
+
 def oracle_geometry_n2(surface, norm, omega0, anchor):
     """Every n = 2 bundle field by the batched np.roll / T G T^T / eigen
     formulas, as a reference for the component-wise kernel, and the extra
