@@ -31,6 +31,9 @@ DUAL_MAX_ITER = 60
 # a custom gauge must satisfy |gauge(t x) - t gauge(x)| <= HOMOGENEITY_TOL
 # times its largest value on the sampled unit directions
 HOMOGENEITY_TOL = 1e-10
+# and its metric G = gauge*Hess + Dgauge Dgauge^T must have every eigenvalue
+# above ELLIPTICITY_TOL times the largest one on those directions
+ELLIPTICITY_TOL = 1e-10
 
 
 class NormError(ValueError, CapflowError):
@@ -366,15 +369,18 @@ class Norm:
     def homogeneity_residual(self, samples: int = 200, relative: bool = False) -> float:
         """max |gauge(t x) - t gauge(x)| over sampled unit x and t in {1/2, 2};
         relative divides it by the largest |gauge(x)|."""
-        base, res = self._homogeneity_sample(samples)
-        return res / float(np.abs(base).max()) if relative else res
+        comps, res = self._homogeneity_sample(samples)
+        return res / float(np.abs(comps[0]).max()) if relative else res
 
     def _homogeneity_sample(self, samples: int):
-        """gauge(x) on the sampled unit x, and the absolute homogeneity residual."""
+        """Order-2 jets at the sampled unit x (component-major), and the
+        absolute homogeneity residual; one jet evaluation."""
         dirs = sample_directions(samples, self.d)
         lams = np.array([1.0, 0.5, 2.0])[:, None]
-        base, *scaled = self.f0_many((lams[:, :, None] * dirs).reshape(-1, self.d)).reshape(3, -1)
-        return base, max(float(np.abs(v - lam * base).max()) for v, lam in zip(scaled, lams[1:, 0]))
+        comps = self.gauge_components((lams[:, :, None] * dirs).reshape(-1, self.d).T)
+        base, *scaled = comps[0].reshape(3, -1)
+        res = max(float(np.abs(v - lam * base).max()) for v, lam in zip(scaled, lams[1:, 0]))
+        return comps[:, :samples], res
 
     def verify_duality(self, samples: int = 100, seed: int = 42) -> dict:
         """Max residuals of the inverse-gauge identities over random samples.
@@ -671,7 +677,8 @@ def make_norm(
         if not f0_expr:
             raise NormError("custom norm needs f0_expr")
         norm = ExpressionNorm(expr_mod.parse(f0_expr, dim=dim), name="custom")
-        base, res = norm._homogeneity_sample(200)
+        comps, res = norm._homogeneity_sample(200)
+        base = comps[0]
         res /= float(np.abs(base).max())
         if not res <= HOMOGENEITY_TOL:  # written so that NaN fails
             raise NormError(
@@ -681,5 +688,11 @@ def make_norm(
         if not base.min() > 0.0:
             raise NormError(f"custom gauge is not positive: it reaches {base.min():.3g} "
                             "on a unit direction")
+        g = triangle_matrices(metric_components(comps, dim), dim)
+        eig = np.linalg.eigvalsh(g) if np.isfinite(g).all() else np.full((1, dim), np.nan)
+        if not eig[:, 0].min() > ELLIPTICITY_TOL * eig[:, -1].max():
+            raise NormError("custom gauge is degenerate: its metric G = F D2F + DF DF^T "
+                            f"reaches eigenvalue {eig[:, 0].min():.3g} against "
+                            f"{eig[:, -1].max():.3g} on the sampled unit directions")
         return norm
     raise NormError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")

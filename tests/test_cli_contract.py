@@ -2,20 +2,32 @@
 rejected at load, every verify suite passing, and README tables that match
 the code."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from capflow import checks, cli
 from capflow.cli import main
-from capflow.norms import QUARTIC_A2_TEXT, make_norm
+from capflow.norms import QUARTIC_A2_TEXT, Norm, make_norm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
-NO_DUAL = "norm.kind = custom\nnorm.f0_expr = sqrt((x+y+z)^2)\n"  # flat slab: singular G
+DEGENERATE = "norm.kind = custom\nnorm.f0_expr = sqrt((x+y+z)^2)\n"  # flat slab: rank-one G
+# the l4 ball: G is rank one only at the axis points, which the load check's
+# sampled directions miss, so the dual solve at E3 meets it
+NO_DUAL = "norm.kind = custom\nnorm.f0_expr = (x^4+y^4+z^4)^(1/4)\n"
 NEGATIVE = "norm.kind = custom\nnorm.f0_expr = sqrt(x^2+y^2+z^2)+1.5*z\n"  # -0.5 at -E3
-OFF_DOMAIN = "norm.kind = custom\nnorm.dim = 4\nnorm.f0_expr = sqrt(x^2+y^2+z^2)\n"
+CYLINDER = "norm.kind = custom\nnorm.dim = 4\nnorm.f0_expr = sqrt(x^2+y^2+z^2)\n"  # flat in w
+# a norm that is smooth off the E4 axis: the dual solve at E4 evaluates the
+# second square root at 0, off its domain
+OFF_DOMAIN = ("norm.kind = custom\nnorm.dim = 4\n"
+              "norm.f0_expr = sqrt(x^2+y^2+z^2+w^2)+0.1*sqrt(x^2+y^2+z^2)\n")
 
 
 def write(tmp_path, name, text):
@@ -27,7 +39,6 @@ def write(tmp_path, name, text):
 @pytest.mark.parametrize("command,cfg", [
     ("simulate", NO_DUAL + "flow.omega0 = -0.3\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"),
     ("check-condition", NO_DUAL + "condition.omega0 = -0.3\n"),
-    ("norm-info", NO_DUAL),
     ("check-condition", OFF_DOMAIN + "condition.omega0 = -0.3\n"),
     ("norm-info", OFF_DOMAIN),
 ])
@@ -69,6 +80,51 @@ def test_gauge_that_is_not_one_homogeneous_exit_two(tmp_path, capsys, command, e
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "1-homogeneous" in err
     assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("simulate", DEGENERATE + "flow.omega0 = -0.3\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"),
+    ("check-condition", DEGENERATE + "condition.omega0 = -0.3\n"),
+    ("norm-info", DEGENERATE),
+    ("check-condition", CYLINDER + "condition.omega0 = -0.3\n"),
+    ("norm-info", CYLINDER),
+])
+def test_degenerate_gauge_exit_two(tmp_path, capsys, command, cfg):
+    assert main([command, write(tmp_path, "g.cfg", cfg + "output.dir = out\n")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "degenerate" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_linalg_error_exit_three(tmp_path, capsys, monkeypatch):
+    def unconverged(self, samples=1000):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(Norm, "ellipticity_report", unconverged)
+    assert main(["norm-info", write(tmp_path, "e.cfg", "norm.kind = sphere\n")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "did not converge" in err
+    assert "Traceback" not in err
+
+
+def test_commands_run_without_scipy(tmp_path):
+    flow = ("norm.kind = sphere\nflow.omega0 = -0.5\nflow.t_end = 0.01\n"
+            "grid.n_beta = 16\ngrid.n_lambda = 32\noutput.dir = out\n")
+    cond = "norm.kind = quartic_a2\ncondition.omega0 = -0.3\noutput.dir = out\n"
+    code = (
+        "import sys\n"
+        "from capflow.cli import main\n"
+        f"assert main(['check-condition', {write(tmp_path, 'c.cfg', cond)!r}]) == 0\n"
+        f"assert main(['simulate', {write(tmp_path, 's.cfg', flow)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)).rstrip(os.pathsep))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "summary.txt").exists()
 
 
 def test_quartic_expression_passes_the_homogeneity_check():
