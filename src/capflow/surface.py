@@ -567,7 +567,7 @@ class SliceSupportTable:
         self.h = 2.0 * np.pi / samples
         self.vals = tn.slice_support_table(samples)
         cos_k = np.cos(2.0 * np.pi * np.arange(samples // 2 + 1) / samples)
-        ratio = (2.0 * cos_k - 2.0) / self.h / (self.h / 6.0 * (4.0 + 2.0 * cos_k))
+        ratio = 6.0 * (cos_k - 1.0) / (self.h**2 * (2.0 + cos_k))
         self.m2 = np.fft.irfft(np.fft.rfft(self.vals) * ratio, samples)
 
     def _cell(self, theta: np.ndarray):
