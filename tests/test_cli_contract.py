@@ -119,7 +119,7 @@ def test_commands_run_without_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)).rstrip(os.pathsep))
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
