@@ -9,7 +9,7 @@ rejected, '#' starts a comment, arrays are bracketed comma lists, and paths
 are resolved relative to the config file.  Exit codes: 0 success, 2 config
 error, 3 runtime blow-up, numerical failure or an output file that cannot be
 written (partial outputs are kept): ``main`` maps ConfigError to 2 and every
-other CapflowError, OSError and NumPy LinAlgError to 3.
+other CapflowError, OSError, NumPy LinAlgError and MemoryError to 3.
 """
 
 from __future__ import annotations
@@ -302,10 +302,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapflowError, OSError, np.linalg.LinAlgError) as exc:
+    except (CapflowError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
         # config reads and output.dir creation raise ConfigError, so an
         # OSError here failed to write an output file; a LinAlgError comes
-        # from a NumPy solve no capflow check guards
+        # from a NumPy solve no capflow check guards, and a MemoryError from
+        # a grid or sample count too large to allocate
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 

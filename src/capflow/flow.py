@@ -5,9 +5,12 @@ step evaluates the geometry bundle, forms the speed, filters the
 high-azimuthal modes near the pole (standard lat-long stiffness control),
 and solves (I - dt A L) delta = dt * speed with L the round Laplacian and A
 the bundle's diffusion bound (stabilized semi-implicit stepping, Smereka
-2003), so dt scales with dbeta, not dbeta^2.  The ghost layer is then
-re-solved so the contact-angle relation holds at the boundary ring.  A
-fixed dt_override takes A = 0: forward Euler, the reference explicit scheme.
+2003), so dt scales with dbeta, not dbeta^2.  The ghost layer then closes
+the contact-angle relation at the boundary ring: the relation pins each rim
+maximizer to the unit ball's slice at height -omega0, so a 2x2 Newton per
+rim node finds it there, and the ghost value follows from the gauge
+gradient at that point.  A fixed dt_override takes A = 0: forward Euler,
+the reference explicit scheme.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CapflowError
-from .norms import Norm, adjugate3, metric_components
+from .norms import Norm
 from .surface import (
     GeometryBundle,
     GraphSurface,
@@ -30,7 +33,7 @@ from .surface import (
     minkowski_residual,
     quermassintegral_interior,
 )
-from .wulff import AnchorVector, CapillaryWulffShape, anchor_vector
+from .wulff import AnchorVector, CapillaryWulffShape, anchor_vector, ball_slice_points
 
 
 class FlowError(RuntimeError, CapflowError):
@@ -151,78 +154,71 @@ def initial_surface(config: FlowConfig, anchor: AnchorVector) -> GraphSurface:
     raise FlowError(f"unknown initial preset {config.initial!r}")
 
 
+# the boundary closure's Newton stops once no rim node's update exceeds
+# CLOSURE_TOL, and fails after CLOSURE_MAX_ITER iterations
+CLOSURE_TOL = 1e-13
+CLOSURE_MAX_ITER = 50
+
+
 def boundary_enforce(
     surface: GraphSurface,
     norm: Norm,
     omega0: float,
     tol: float = 1e-8,
-    max_iter: int = 50,
-    warm_state: dict | None = None,
+    z0: np.ndarray | None = None,
 ) -> float:
     """Solve the ghost row so the contact relation holds at the boundary ring.
 
-    The unknown is the ghost value entering the centered beta-derivative at
-    beta = pi/2.  Newton on <Psi(nu), -E_up> = omega0, which is monotone in
-    the ghost unknown because the support Hessian is positive on tangent
-    directions.  Returns the final max residual.  warm_state carries the
-    maximizers and their order-2 gauge jets, in component form, from one
-    call to the next.
+    At beta = pi/2 the rim direction is w = h + p_beta E_up, where h = u -
+    p_lambda e2 is horizontal and only p_beta depends on the ghost value.  The
+    maximizer z of <w, .> lies on the unit ball's slice z_3 = -omega0, where
+    the horizontal gauge gradient is parallel to h.  A 2x2 Newton per node
+    solves gauge(z) = 1 and h_1 d_2 gauge - h_2 d_1 gauge = 0 for (z_1, z_2),
+    from z0 (the rim maximizers (n_lambda, 3) of a nearby surface) or from the
+    slice points along h.  Then w = s Dgauge(z) with s = |h|^2 / <h, D_h gauge>
+    gives p_beta = s d_3 gauge.  One support_many from z re-checks the contact
+    residual max |z_3 + omega0|, which must reach tol and is returned.
     """
     grid = surface.grid
     if grid.n != 2:
         raise FlowError("boundary enforcement is for n = 2")
     nb, nl = grid.n_beta, grid.n_lambda
-    db, dl = grid.dbeta, grid.dlam
     row = surface.phi[nb]
-    inner = surface.phi[nb - 1]
     ext = np.concatenate((row[-1:], row, row[:1]))
-    p_l = (ext[2:] - ext[:-2]) / (2 * dl)
-    # the frame of the boundary ring, component-major; w[2] is set per iterate
-    horizontal = grid.frame_u[:, -nl:] - p_l * grid.frame_e2[:, -nl:]
-    ghost = surface.phi[nb + 1].copy()
-    z = warm_state.get("z") if warm_state else None
-    jets = warm_state.get("jets") if warm_state else None
-    res = np.inf
-    for it in range(max_iter):
-        p_b = (ghost - inner) / (2 * db)
-        w = horizontal.copy()
-        w[2] = p_b
-        # jets depend only on z, so the last iterate's jets start the next solve
-        f_val, z, _, ok, jets = norm.support_many(
-            w.T, z0=z, tol=min(tol, 1e-10), return_jets=True, jets0=jets
-        )
-        if not np.all(ok):
-            bad = int(np.argmax(~ok))
-            raise FlowError(f"boundary dual solve failed at node {bad}")
-        psi = -z[:, 2] - omega0
-        res = float(np.abs(psi).max())
-        if res <= tol:
+    p_l = (ext[2:] - ext[:-2]) / (2 * grid.dlam)
+    h1, h2, _ = grid.frame_u[:, -nl:] - p_l * grid.frame_e2[:, -nl:]
+    if z0 is None:
+        h_len = np.hypot(h1, h2)
+        z0 = ball_slice_points(norm, omega0, np.stack([h1 / h_len, h2 / h_len, 0 * h1], 1))
+    z = np.array(z0, dtype=float).T
+    z[2] = -omega0
+    for _ in range(CLOSURE_MAX_ITER):
+        # jets rows: value, gradient 0..2, Hessian 00 01 02 11 12 22
+        c = norm.gauge_components(z)
+        r1, r2 = c[0] - 1.0, h1 * c[2] - h2 * c[1]
+        j21, j22 = h1 * c[5] - h2 * c[4], h1 * c[7] - h2 * c[5]
+        det = c[1] * j22 - c[2] * j21
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dz = np.stack(((j22 * r1 - c[2] * r2) / det, (c[1] * r2 - j21 * r1) / det))
+        if not np.isfinite(dz).all():
+            raise FlowError("singular boundary closure system")
+        if np.abs(dz).max() <= CLOSURE_TOL:
             break
-        # d psi / d ghost through the support Hessian acting on E_up
-        dpsi = -support_hessian_zz(norm, w.T, z, jets) / (2 * db)
-        if not np.all(np.isfinite(dpsi) & (dpsi != 0.0)):
-            raise FlowError("degenerate boundary Newton derivative")
-        ghost = ghost - psi / dpsi
+        z[:2] -= dz
     else:
-        raise FlowError(
-            f"boundary Newton did not reach {tol} (residual {res:.3e})"
-        )
-    surface.phi[nb + 1] = ghost
-    if warm_state is not None:
-        warm_state["z"], warm_state["jets"] = z, jets
+        raise FlowError(f"boundary closure did not converge in {CLOSURE_MAX_ITER} iterations")
+    along = h1 * c[1] + h2 * c[2]
+    if not np.all(along > 0.0):
+        raise FlowError("boundary slice has no point with the rim normal")
+    p_b = (h1 * h1 + h2 * h2) / along * c[3]
+    _, z, _, ok = norm.support_many(np.stack([h1, h2, p_b], 1), z0=z.T, tol=min(tol, 1e-10))
+    if not np.all(ok):
+        raise FlowError(f"boundary dual solve failed at node {int(np.argmax(~ok))}")
+    res = float(np.abs(z[:, 2] + omega0).max())
+    if not res <= tol:
+        raise FlowError(f"boundary closure did not reach {tol} (residual {res:.3e})")
+    surface.phi[nb + 1] = surface.phi[nb - 1] + 2 * grid.dbeta * p_b
     return res
-
-
-def support_hessian_zz(norm: Norm, w: np.ndarray, z: np.ndarray,
-                       comps: np.ndarray) -> np.ndarray:
-    """[D^2 support]_{33} at directions w (N, 3), maximizers z (N, 3) and the
-    gauge_components array at z: the last entry of (I - z Dgauge^T) G^-1 /
-    <w, z>, from the third column of the adjugate of G alone."""
-    adj, det = adjugate3(metric_components(comps, norm.d))
-    # the third column of the adjugate: components 02, 12, 22
-    grad_adj = comps[1] * adj[2] + comps[2] * adj[4] + comps[3] * adj[5]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (adj[5] - z[:, 2] * grad_adj) / (det * (w * z).sum(axis=1))
 
 
 def polar_filter(rhs: np.ndarray, grid: HalfSphereGrid) -> np.ndarray:
@@ -334,7 +330,6 @@ def step(
     bundle: GeometryBundle | None = None,
     dt: float | None = None,
     boundary_tol: float = 1e-8,
-    warm_state: dict | None = None,
     diffusion: ImplicitDiffusion | None = None,
 ) -> tuple[GraphSurface, float, GeometryBundle]:
     """One stabilized semi-implicit step; returns the new surface, dt and bundle.
@@ -342,8 +337,8 @@ def step(
     With dt None the step size comes from time_step at the bundle's
     diffusion bound and the implicit solve from stabilized_diffusion.  A
     given dt uses the given diffusion solve, and without one it is a
-    forward-Euler step (A = 0).  The dual solve starts warm from bundle;
-    warm_state goes to boundary_enforce.
+    forward-Euler step (A = 0).  The dual solve and the boundary closure
+    start warm from bundle's maximizers.
     """
     if bundle is None:
         bundle = geometry(surface, norm, omega0, anchor)
@@ -355,7 +350,7 @@ def step(
         raise FlowError("time step underflow")
     new = surface.copy()
     _advance(new, bundle, dt, diffusion or ImplicitDiffusion(grid, 0.0))
-    boundary_enforce(new, norm, omega0, boundary_tol, warm_state=warm_state)
+    boundary_enforce(new, norm, omega0, boundary_tol, z0=bundle.maximizers[-grid.n_lambda:])
     new.time = surface.time + dt
     bundle_new = geometry(new, norm, omega0, anchor, warm=bundle, dual_tol=1e-9)
     return new, dt, bundle_new
@@ -469,7 +464,6 @@ def run(config: FlowConfig):
                 )
 
     record(bundle, dt)
-    bc_warm: dict = {}
     try:
         while surface.time < config.t_end:
             if float(np.abs(bundle.f).max()) <= config.convergence_tol:
@@ -478,8 +472,7 @@ def run(config: FlowConfig):
                 break
             surface, _, bundle = step(
                 surface, norm, omega0, anchor, bundle=bundle, dt=dt,
-                boundary_tol=config.boundary_tol, warm_state=bc_warm,
-                diffusion=diffusion,
+                boundary_tol=config.boundary_tol, diffusion=diffusion,
             )
             trace.steps += 1
             if trace.steps % 20 == 0 and config.dt_override is None:

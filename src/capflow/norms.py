@@ -29,7 +29,7 @@ from .expr import (
 DUAL_TOL = 1e-12
 DUAL_MAX_ITER = 60
 # a custom gauge must satisfy |gauge(t x) - t gauge(x)| <= HOMOGENEITY_TOL
-# times its largest value on the sampled unit directions
+# times its largest value on the sampled unit directions and +-E_1 ... +-E_d
 HOMOGENEITY_TOL = 1e-10
 # and its metric G = gauge*Hess + Dgauge Dgauge^T must have every eigenvalue
 # above ELLIPTICITY_TOL times the largest one on those directions
@@ -184,7 +184,11 @@ class Norm:
         return self.gauge_jets(pts, order=2).val
 
     def f0(self, x) -> float:
-        return float(self.f0_many(np.asarray(x, dtype=float)[None, :])[0])
+        """The gauge at one point, by homogeneity from x / max|x_i|, so that a
+        tiny x (say omega0 E_up at |omega0| ~ 1e-170) does not square to 0."""
+        x = np.asarray(x, dtype=float)
+        scale = float(np.abs(x).max()) or 1.0
+        return scale * float(self.f0_many((x / scale)[None, :])[0])
 
     # -- dual support -----------------------------------------------------
 
@@ -373,14 +377,17 @@ class Norm:
         return res / float(np.abs(comps[0]).max()) if relative else res
 
     def _homogeneity_sample(self, samples: int):
-        """Order-2 jets at the sampled unit x (component-major), and the
-        absolute homogeneity residual; one jet evaluation."""
-        dirs = sample_directions(samples, self.d)
+        """Order-2 jets at the unit x (component-major), and the absolute
+        homogeneity residual; one jet evaluation.  The x are the sampled
+        directions and +-E_1 ... +-E_d, where a gauge built from coordinate
+        powers degenerates."""
+        axes = np.eye(self.d)
+        dirs = np.concatenate((sample_directions(samples, self.d), axes, -axes))
         lams = np.array([1.0, 0.5, 2.0])[:, None]
         comps = self.gauge_components((lams[:, :, None] * dirs).reshape(-1, self.d).T)
         base, *scaled = comps[0].reshape(3, -1)
         res = max(float(np.abs(v - lam * base).max()) for v, lam in zip(scaled, lams[1:, 0]))
-        return comps[:, :samples], res
+        return comps[:, : len(dirs)], res
 
     def verify_duality(self, samples: int = 100, seed: int = 42) -> dict:
         """Max residuals of the inverse-gauge identities over random samples.

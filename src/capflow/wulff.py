@@ -147,9 +147,7 @@ class CapillaryWulffShape:
         self.center = self.r * self.omega0 * self.anchor.e_f
         # ray solvability from the origin needs the center strictly interior
         # (a centered shape trivially is; the gauge is singular at 0)
-        if self.omega0 != 0.0 and float(
-            norm.f0_many((-self.center / self.r)[None, :])[0]
-        ) >= 1.0:
+        if self.omega0 != 0.0 and norm.f0(-self.center / self.r) >= 1.0:
             raise WulffError("origin is not interior to the shape")
 
     def radial_many(self, directions: np.ndarray) -> np.ndarray:

@@ -138,7 +138,7 @@ class TestSimulate:
             calls = 0
 
             def support_many(self, *args, **kwargs):
-                # set-up takes 10 calls and a step 4, so this is step ~30
+                # set-up takes 5 calls and a step 2, so this is step 63
                 self.calls += 1
                 if self.calls > 130:
                     raise DualSolveError("singular dual system for failing-sphere")
@@ -157,8 +157,10 @@ class TestSimulate:
             calls = 0
 
             def support_many(self, *args, **kwargs):
+                # set-up takes 5 calls and a step 2: step 34 fails, between
+                # the dt refreshes at steps 20 and 40
                 self.calls += 1
-                if self.calls > 130:
+                if self.calls > 70:
                     raise DualSolveError("singular dual system")
                 return super().support_many(*args, **kwargs)
 

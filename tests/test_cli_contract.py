@@ -13,21 +13,21 @@ import pytest
 
 from capflow import checks, cli
 from capflow.cli import main
-from capflow.norms import QUARTIC_A2_TEXT, Norm, make_norm
+from capflow.norms import QUARTIC_A2_TEXT, DualSolveError, Norm, make_norm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 DEGENERATE = "norm.kind = custom\nnorm.f0_expr = sqrt((x+y+z)^2)\n"  # flat slab: rank-one G
-# the l4 ball: G is rank one only at the axis points, which the load check's
-# sampled directions miss, so the dual solve at E3 meets it
-NO_DUAL = "norm.kind = custom\nnorm.f0_expr = (x^4+y^4+z^4)^(1/4)\n"
+# the l4 ball: G is rank one only at the axis points, which the load check samples
+L4_BALL = "norm.kind = custom\nnorm.f0_expr = (x^4+y^4+z^4)^(1/4)\n"
 NEGATIVE = "norm.kind = custom\nnorm.f0_expr = sqrt(x^2+y^2+z^2)+1.5*z\n"  # -0.5 at -E3
-CYLINDER = "norm.kind = custom\nnorm.dim = 4\nnorm.f0_expr = sqrt(x^2+y^2+z^2)\n"  # flat in w
-# a norm that is smooth off the E4 axis: the dual solve at E4 evaluates the
+CYLINDER = "norm.kind = custom\nnorm.dim = 4\nnorm.f0_expr = sqrt((x+y)^2+z^2+w^2)\n"  # flat in x-y
+# a norm that is smooth off the E4 axis: the load check at E4 evaluates the
 # second square root at 0, off its domain
 OFF_DOMAIN = ("norm.kind = custom\nnorm.dim = 4\n"
               "norm.f0_expr = sqrt(x^2+y^2+z^2+w^2)+0.1*sqrt(x^2+y^2+z^2)\n")
+QUARTIC = f"norm.kind = custom\nnorm.f0_expr = {QUARTIC_A2_TEXT}\n"
 
 
 def write(tmp_path, name, text):
@@ -37,16 +37,61 @@ def write(tmp_path, name, text):
 
 
 @pytest.mark.parametrize("command,cfg", [
-    ("simulate", NO_DUAL + "flow.omega0 = -0.3\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"),
-    ("check-condition", NO_DUAL + "condition.omega0 = -0.3\n"),
-    ("check-condition", OFF_DOMAIN + "condition.omega0 = -0.3\n"),
-    ("norm-info", OFF_DOMAIN),
+    ("simulate", QUARTIC + "flow.omega0 = -0.3\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"),
+    ("check-condition", QUARTIC + "condition.omega0 = -0.3\n"),
+    ("norm-info", QUARTIC),
 ])
-def test_numerical_failure_at_setup_exit_three(tmp_path, capsys, command, cfg):
+def test_numerical_failure_at_setup_exit_three(tmp_path, capsys, monkeypatch, command, cfg):
+    # a gauge that passes the load checks, and a dual solve that then fails
+    def singular(self, *args, **kwargs):
+        raise DualSolveError(f"singular dual system for {self.name}")
+
+    monkeypatch.setattr(Norm, "support_many", singular)
     path = write(tmp_path, "n.cfg", cfg + "output.dir = out\n")
     assert main([command, path]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("run failed:") and "Traceback" not in err
+    assert err.startswith("run failed:") and "singular dual system" in err
+    assert "Traceback" not in err
+
+
+# one invalid value per config key, after any line it needs to be read
+REJECTED = {
+    "norm.kind": "norm.kind = bogus",
+    "norm.params": "norm.kind = ellipsoid\nnorm.params = [1, 2]",
+    "norm.f0_expr": "norm.kind = custom\nnorm.f0_expr = x^2+y^2+z^2",
+    "norm.dim": "norm.dim = 5",
+    "flow.omega0": "flow.omega0 = -2",
+    "flow.t_end": "flow.t_end = 0",
+    "flow.cfl_sigma": "flow.cfl_sigma = 1.5",
+    "flow.convergence_tol": "flow.convergence_tol = 0",
+    "flow.boundary_tol": "flow.boundary_tol = -1e-8",
+    "flow.epsilon": "flow.epsilon = 1",
+    "flow.seed": "flow.seed = -1",
+    "flow.initial": "flow.initial = vortex",
+    "flow.dt_override": "flow.dt_override = 0",
+    "flow.record_every": "flow.record_every = 0",
+    "grid.n_beta": "grid.n_beta = 8",
+    "grid.n_lambda": "grid.n_lambda = 12.5",
+    "output.dir": "output.dir = afile/sub",
+    "output.snapshot_every": "output.snapshot_every = -1",
+    "condition.omega0": "condition.omega0 = 2",
+    "condition.samples": "condition.samples = 0",
+}
+
+
+def test_rejection_table_covers_every_config_key():
+    assert list(REJECTED) == list(cli.CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", list(REJECTED))
+def test_every_config_key_rejects_a_bad_value(tmp_path, capsys, key):
+    (tmp_path / "afile").write_text("a regular file", encoding="utf-8")
+    command = "check-condition" if key.startswith("condition.") else "simulate"
+    base = ("norm.kind = sphere\nflow.omega0 = -0.3\ncondition.omega0 = -0.3\n"
+            "grid.n_beta = 16\ngrid.n_lambda = 32\nflow.t_end = 0.001\noutput.dir = out\n")
+    assert main([command, write(tmp_path, "k.cfg", base + REJECTED[key] + "\n")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -61,6 +106,8 @@ def test_numerical_failure_at_setup_exit_three(tmp_path, capsys, command, cfg):
     ("simulate", NEGATIVE + "flow.omega0 = -0.3\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"),
     ("check-condition", NEGATIVE + "condition.omega0 = -0.3\n"),
     ("norm-info", NEGATIVE),
+    ("check-condition", OFF_DOMAIN + "condition.omega0 = -0.3\n"),
+    ("norm-info", OFF_DOMAIN),
 ])
 def test_bad_input_rejected_at_load(tmp_path, capsys, command, cfg):
     (tmp_path / "afile").write_text("a regular file", encoding="utf-8")
@@ -88,6 +135,9 @@ def test_gauge_that_is_not_one_homogeneous_exit_two(tmp_path, capsys, command, e
     ("norm-info", DEGENERATE),
     ("check-condition", CYLINDER + "condition.omega0 = -0.3\n"),
     ("norm-info", CYLINDER),
+    ("simulate", L4_BALL + "flow.omega0 = -0.3\ngrid.n_beta = 16\ngrid.n_lambda = 32\n"),
+    ("check-condition", L4_BALL + "condition.omega0 = -0.3\n"),
+    ("norm-info", L4_BALL),
 ])
 def test_degenerate_gauge_exit_two(tmp_path, capsys, command, cfg):
     assert main([command, write(tmp_path, "g.cfg", cfg + "output.dir = out\n")]) == 2
@@ -105,6 +155,21 @@ def test_linalg_error_exit_three(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("run failed:") and "did not converge" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,target,cfg", [
+    ("simulate", "run", "norm.kind = sphere\nflow.omega0 = -0.3\n"),
+    ("check-condition", "condition_check", "norm.kind = sphere\ncondition.omega0 = -0.3\n"),
+])
+def test_memory_error_exit_three(tmp_path, capsys, monkeypatch, command, target, cfg):
+    # what numpy raises for grid.n_beta = 100000000, without the allocation
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, target, too_large)
+    assert main([command, write(tmp_path, "m.cfg", cfg + "output.dir = out\n")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: Unable to allocate") and "Traceback" not in err
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -21,7 +21,6 @@ from capflow.flow import (
     rate_checks,
     run,
     step,
-    support_hessian_zz,
     time_step,
 )
 from capflow.checks import static_cap_bundle
@@ -92,23 +91,47 @@ class TestBoundarySolve:
         )
 
 
-class TestBoundaryDerivative:
-    @given(seed=st.integers(0, 2**32 - 1),
-           kind=st.sampled_from(["sphere", "ellipsoid", "quartic_a2", "quartic_a3"]))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_support_hessian(self, seed, kind):
-        norm = make_norm(kind, {"ellipsoid": [4.0, 1.0, 2.0], "quartic_a3": [0.3]}.get(kind))
-        rng = np.random.default_rng(seed)
-        lam = rng.uniform(0.0, 2.0 * np.pi, 64)
-        # boundary-ring directions u - p_l e2 + p_b E_up, as the ghost Newton forms them
-        p_l, p_b = rng.uniform(-1.0, 1.0, (2, 64))
-        w = np.stack([np.cos(lam) + p_l * np.sin(lam), np.sin(lam) - p_l * np.cos(lam), p_b],
-                     axis=1)
-        _, z, _, ok, jets = norm.support_many(w, return_jets=True)
+CLOSURE_NORMS = {
+    "quartic_a2_prime": make_norm("quartic_a2_prime"),
+    "ellipsoid": make_norm("ellipsoid", [4.0, 1.0, 2.0]),
+    "quartic_a3": make_norm("quartic_a3", [0.3]),
+    "custom": make_norm("custom", f0_expr="(x^4+y^4+z^4+(x^2+y^2+z^2)^2+x^2*y^2)^(1/4)"),
+}
+
+
+class TestBoundaryClosure:
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(CLOSURE_NORMS)),
+           omega0=st.floats(-0.5, 0.5), amp=st.floats(0.0, 0.2),
+           grid_size=st.sampled_from([(16, 32), (24, 48)]), warm=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_contact_residual_through_independent_dual_solve(
+            self, seed, kind, omega0, amp, grid_size, warm):
+        norm = CLOSURE_NORMS[kind]
+        grid = HalfSphereGrid(2, *grid_size)
+        nb, nl = grid.n_beta, grid.n_lambda
+        surf = GraphSurface.from_wulff(grid, CapillaryWulffShape(norm, 1.0, omega0))
+        # a warm start from the unperturbed cap, as step takes it from its bundle
+        z0 = geometry(surf, norm, omega0).maximizers[-nl:] if warm else None
+        # low harmonics m = 0..3 on the last three rows, ghost row included
+        coef = np.random.default_rng(seed).uniform(-amp, amp, (3, 4, 2))
+        m = np.arange(4)[:, None] * grid.lambdas
+        surf.phi[nb - 1 :] += (coef[..., :1] * np.cos(m) + coef[..., 1:] * np.sin(m)).sum(1)
+        res = boundary_enforce(surf, norm, omega0, tol=1e-10, z0=z0)
+        assert res <= 1e-10
+        # the rim normals of the closed surface, through geometry's stencils
+        rim = geometry(surf, norm, omega0).nu[-nl:]
+        _, z, _, ok = norm.support_many(rim, tol=1e-12)
         assert np.all(ok)
-        want = norm.support_hessian_many(w, maximizers=z)[:, 2, 2]
-        np.testing.assert_allclose(support_hessian_zz(norm, w, z, jets), want,
-                                   rtol=1e-12, atol=1e-12)
+        assert np.abs(z[:, 2] + omega0).max() <= 1e-10
+
+    def test_outer_half_of_the_slice_raises(self):
+        # a warm start on the far side of the slice finds the point whose
+        # gauge gradient opposes the rim direction
+        grid = HalfSphereGrid(2, 16, 32)
+        surf = GraphSurface.from_wulff(grid, CapillaryWulffShape(A2, 1.0, -0.3))
+        z0 = -geometry(surf, A2, -0.3).maximizers[-grid.n_lambda:]
+        with pytest.raises(FlowError, match="rim normal"):
+            boundary_enforce(surf, A2, -0.3, z0=z0)
 
 
 class TestStepping:

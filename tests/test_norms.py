@@ -191,8 +191,19 @@ class TestCatalogue:
             assert norm.homogeneity_residual() < 1e-8
 
     def test_custom_expression(self):
-        norm = make_norm("custom", f0_expr="(x^4+y^4+z^4)^(1/4)")
-        assert norm.f0(np.array([1.0, 1.0, 1.0])) == pytest.approx(3.0**0.25)
+        norm = make_norm("custom", f0_expr="(x^4+y^4+z^4+(x^2+y^2+z^2)^2)^(1/4)")
+        assert norm.f0(np.array([1.0, 1.0, 1.0])) == pytest.approx(12.0**0.25)
+
+    @pytest.mark.parametrize("norm", [SPHERE, ELLIPSOID, A2], ids=lambda n: n.name)
+    def test_single_point_gauge_of_a_tiny_vector(self, norm):
+        # omega0 E_up at an admissible |omega0| = 1e-300 squares to 0
+        v = np.array([0.3, -0.2, 1.0])
+        assert norm.f0(1e-300 * v) == pytest.approx(1e-300 * norm.f0(v), rel=1e-14)
+
+    def test_l4_ball_rejected_at_load(self):
+        # its G is rank one only at the axis points, which the load check samples
+        with pytest.raises(NormError, match="degenerate"):
+            make_norm("custom", f0_expr="(x^4+y^4+z^4)^(1/4)")
 
     def test_unknown_kind(self):
         with pytest.raises((NormError, ValueError)):
@@ -354,8 +365,9 @@ class TestEliminatedSolve:
             solve_metrics(not_finite, rhs)
 
     def test_singular_metric_in_the_solve_raises(self):
-        # at an axis point of the l4 ball the Hessian vanishes and G is rank one
-        norm = make_norm("custom", f0_expr="(x^4+y^4+z^4)^(1/4)")
+        # at an axis point of the l4 ball the Hessian vanishes and G is rank
+        # one; built directly, since make_norm rejects it at load
+        norm = ExpressionNorm(expr_mod.parse("(x^4+y^4+z^4)^(1/4)", dim=3))
         with pytest.raises(DualSolveError):
             norm.support_many(np.array([[1.0, 0.1, 0.0]]), z0=np.array([[1.0, 0.0, 0.0]]))
 
