@@ -79,9 +79,6 @@ class Expression:
     ast: object
     dim: int
 
-    def __str__(self) -> str:
-        return to_string(self.ast)
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer / parser (precedence climbing)
@@ -269,30 +266,6 @@ def parse(source: str, dim: int | None = None) -> Expression:
     if dim is None:
         dim = 4 if parser.max_var >= 3 else 3
     return Expression(ast, dim)
-
-
-def _fmt_exponent(frac: Fraction) -> str:
-    if frac.denominator == 1:
-        n = frac.numerator
-        return str(n) if n >= 0 else f"({n})"
-    return f"({frac.numerator}/{frac.denominator})"
-
-
-def to_string(node) -> str:
-    """Render an AST back to parseable text (round-trips to an equal AST)."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return VARIABLE_NAMES[node.index]
-    if isinstance(node, Neg):
-        return f"(-{to_string(node.arg)})"
-    if isinstance(node, Bin):
-        return f"({to_string(node.left)}{node.op}{to_string(node.right)})"
-    if isinstance(node, Pow):
-        return f"({to_string(node.base)}^{_fmt_exponent(node.exponent)})"
-    if isinstance(node, Sqrt):
-        return f"sqrt({to_string(node.arg)})"
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -326,34 +326,25 @@ def step(
     norm: Norm,
     omega0: float,
     anchor: AnchorVector,
-    cfl_sigma: float = 0.4,
-    bundle: GeometryBundle | None = None,
-    dt: float | None = None,
+    bundle: GeometryBundle,
+    dt: float,
+    diffusion: ImplicitDiffusion,
     boundary_tol: float = 1e-8,
-    diffusion: ImplicitDiffusion | None = None,
-) -> tuple[GraphSurface, float, GeometryBundle]:
-    """One stabilized semi-implicit step; returns the new surface, dt and bundle.
+) -> tuple[GraphSurface, GeometryBundle]:
+    """One step of size dt through the given implicit solve, from surface and
+    its bundle; returns the new surface and its bundle.
 
-    With dt None the step size comes from time_step at the bundle's
-    diffusion bound and the implicit solve from stabilized_diffusion.  A
-    given dt uses the given diffusion solve, and without one it is a
-    forward-Euler step (A = 0).  The dual solve and the boundary closure
-    start warm from bundle's maximizers.
+    The dual solve and the boundary closure start warm from bundle's
+    maximizers.
     """
-    if bundle is None:
-        bundle = geometry(surface, norm, omega0, anchor)
-    grid = surface.grid
-    if dt is None:
-        dt = time_step(grid, bundle.diffusion_max, cfl_sigma)
-        diffusion = stabilized_diffusion(grid, cfl_sigma)
     if dt < 1e-12:
         raise FlowError("time step underflow")
+    grid = surface.grid
     new = surface.copy()
-    _advance(new, bundle, dt, diffusion or ImplicitDiffusion(grid, 0.0))
+    _advance(new, bundle, dt, diffusion)
     boundary_enforce(new, norm, omega0, boundary_tol, z0=bundle.maximizers[-grid.n_lambda:])
     new.time = surface.time + dt
-    bundle_new = geometry(new, norm, omega0, anchor, warm=bundle, dual_tol=1e-9)
-    return new, dt, bundle_new
+    return new, geometry(new, norm, omega0, anchor, warm=bundle, dual_tol=1e-9)
 
 
 def _advance(surface: GraphSurface, bundle: GeometryBundle, dt: float,
@@ -470,10 +461,8 @@ def run(config: FlowConfig):
                 trace.converged = True
                 trace.stop_reason = "converged"
                 break
-            surface, _, bundle = step(
-                surface, norm, omega0, anchor, bundle=bundle, dt=dt,
-                boundary_tol=config.boundary_tol, diffusion=diffusion,
-            )
+            surface, bundle = step(surface, norm, omega0, anchor, bundle, dt, diffusion,
+                                   config.boundary_tol)
             trace.steps += 1
             if trace.steps % 20 == 0 and config.dt_override is None:
                 dt = time_step(grid, bundle.diffusion_max, config.cfl_sigma)

@@ -466,12 +466,63 @@ class ExpressionNorm(Norm):
         return expr_mod.evaluate(self.expression, pts, order=order)
 
 
+RAY_TOL = 1e-14
+RAY_MAX_ITER = 100
+
+
+def ray_roots(
+    norm: Norm, dirs: np.ndarray, offset: np.ndarray, level: float
+) -> tuple[np.ndarray, int]:
+    """Distances rho > 0 with gauge(rho * dirs[n] + offset) = level, per row.
+
+    The offset must lie strictly inside the level set.  Each ray runs Newton
+    steps inside the bracket [lo, hi] that the sign of the residual keeps; a
+    step that leaves the bracket is replaced by its midpoint.  A row stops
+    once its step is at most RAY_TOL relative, and only unconverged rows are
+    evaluated.  Returns the distances and the number of Newton passes.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    n = dirs.shape[0]
+    lo = np.zeros(n)
+    hi = np.full(n, 2.0 * level)
+    # expand until the gauge exceeds the level along every ray
+    grow = np.arange(n)
+    for _ in range(60):
+        if grow.size == 0:
+            break
+        grow = grow[norm.f0_many(hi[grow, None] * dirs[grow] + offset) < level]
+        hi[grow] *= 2.0
+    rho = 0.5 * (lo + hi)
+    act = np.arange(n)
+    passes = 0
+    while act.size and passes < RAY_MAX_ITER:
+        passes += 1
+        r, u = rho[act], dirs[act]
+        jet = norm.gauge_jets(r[:, None] * u + offset, order=2)
+        g = jet.val - level
+        hi[act] = np.where(g > 0, r, hi[act])
+        lo[act] = np.where(g <= 0, r, lo[act])
+        with np.errstate(all="ignore"):
+            step = g / np.einsum("ni,ni->n", jet.grad, u)
+        r_new = r - step
+        tol = RAY_TOL * np.maximum(1.0, r)
+        # a converged step lands on its own bracket end: test it first
+        done = np.abs(step) <= tol
+        bad = ~done & (~np.isfinite(r_new) | (r_new <= lo[act]) | (r_new >= hi[act]))
+        r_new[bad] = 0.5 * (lo[act][bad] + hi[act][bad])
+        done |= np.abs(r_new - r) <= tol
+        rho[act] = r_new
+        act = act[~done]
+    return rho, passes
+
+
 class ShiftedGaugeNorm(Norm):
     """Gauge of a translated unit ball: the set base-ball + eta.
 
-    The value t solves base_gauge(x - t*eta) = t; derivatives follow from
-    implicit differentiation of that relation and are exact closed forms in
-    the base jets.  Requires base_gauge(-eta) < 1 so the origin stays interior.
+    The value t solves base_gauge(x - t*eta) = t, so t = 1/rho with rho the
+    ray root of base_gauge(rho x - eta) = 1; derivatives follow from implicit
+    differentiation of that relation and are exact closed forms in the base
+    jets.  Requires base_gauge(-eta) < 1 so the origin stays interior.
     """
 
     def __init__(self, base: Norm, eta: np.ndarray, name: str | None = None):
@@ -482,26 +533,10 @@ class ShiftedGaugeNorm(Norm):
         self.base = base
         self.eta = eta
 
-    def _solve_value(self, pts: np.ndarray) -> np.ndarray:
-        eta = self.eta
-        t = self.base.f0_many(pts)
-        for _ in range(60):
-            y = pts - t[:, None] * eta[None, :]
-            jet = self.base.gauge_jets(y, order=2)
-            g = jet.val - t
-            dg = -(jet.grad @ eta) - 1.0
-            step = g / dg
-            t_new = t - step
-            if np.all(np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(t))):
-                t = t_new
-                break
-            t = t_new
-        return t
-
     def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
         pts = np.asarray(pts, dtype=float)
         eta = self.eta
-        t = self._solve_value(pts)
+        t = 1.0 / ray_roots(self.base, pts, -eta, 1.0)[0]
         y = pts - t[:, None] * eta[None, :]
         base_jet = self.base.gauge_jets(y, order=3 if order >= 3 else 2)
         g = base_jet.grad

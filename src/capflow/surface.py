@@ -173,18 +173,6 @@ class GraphSurface:
     def copy(self) -> "GraphSurface":
         return GraphSurface(self.grid, self.phi.copy(), self.time)
 
-    def interior_phi(self) -> np.ndarray:
-        """phi on the geometry rings (1..n_beta for n = 2)."""
-        if self.grid.n == 2:
-            return self.phi[1 : self.grid.n_beta + 1]
-        return self.phi
-
-
-def _sym2(parts: dict, names: str, scale=1.0) -> np.ndarray:
-    """(N, 2, 2) symmetric matrices from the component arrays parts[x11/x12/x22]."""
-    a11, a12, a22 = (scale * parts[names + k] for k in ("11", "12", "22"))
-    return np.stack([a11, a12, a12, a22], axis=1).reshape(-1, 2, 2)
-
 
 @dataclass
 class GeometryBundle:
@@ -193,8 +181,10 @@ class GeometryBundle:
     All fields are flattened over the geometry nodes; `shape` restores the
     lattice layout.  The fields a step reads come with the bundle; the
     record-time fields, the cached properties below, are computed on first
-    access from `parts`, the n = 2 component arrays.  For n = 3 geometry
-    fills them directly.
+    access.  u_bar, area_el and Hk follow from the fields above for both n;
+    kappaF and diffusion_max read `parts`, the n = 2 components of ghat and
+    of the second fundamental form h (hhat = h / F), and for n = 3 geometry
+    fills those two directly.
     """
 
     surface: GraphSurface
@@ -216,28 +206,12 @@ class GeometryBundle:
     parts: dict | None = None
 
     @cached_property
-    def X(self) -> np.ndarray:
-        return (self.rho * self.surface.grid.frame_u).T
-
-    @cached_property
-    def u_bar(self) -> np.ndarray:
+    def u_bar(self) -> np.ndarray:  # capillary support function
         return self.u_hat / (1.0 + self.omega0 * self.pairing)
 
     @cached_property
-    def g(self) -> np.ndarray:  # induced metric, orthonormal sphere frame
-        return _sym2(self.parts, "q", self.rho**2)  # rho^2 (I + p p^T)
-
-    @cached_property
-    def h(self) -> np.ndarray:  # second fundamental form, same frame
-        return _sym2(self.parts, "h")
-
-    @cached_property
-    def ghat(self) -> np.ndarray:
-        return _sym2(self.parts, "ghat")
-
-    @cached_property
-    def hhat(self) -> np.ndarray:
-        return self.h / self.F[:, None, None]
+    def area_el(self) -> np.ndarray:  # rho^n * v (per unit round measure)
+        return self.rho**self.surface.grid.n * self.v
 
     @cached_property
     def kappaF(self) -> np.ndarray:  # (N, n) anisotropic principal curvatures
@@ -256,10 +230,6 @@ class GeometryBundle:
     @cached_property
     def Hk(self) -> np.ndarray:  # (N, n+1) normalized symmetric functions
         return _elementary_symmetric(self.kappaF)
-
-    @cached_property
-    def area_el(self) -> np.ndarray:  # rho^n * v (per unit round measure)
-        return self.rho**2 * self.v
 
     @cached_property
     def diffusion_max(self) -> float:
@@ -308,41 +278,17 @@ def _d1(a, axis, h):
 
 def _d1_edge(a, axis, h):
     """Central interior, second-order one-sided at the two edges."""
-    out = _d1(a, axis, h)
-    sl = [slice(None)] * a.ndim
-
-    def take(i):
-        sl2 = sl.copy()
-        sl2[axis] = i
-        return a[tuple(sl2)]
-
-    first = (-3 * take(0) + 4 * take(1) - take(2)) / (2 * h)
-    last = (3 * take(-1) - 4 * take(-2) + take(-3)) / (2 * h)
-    sl_first, sl_last = sl.copy(), sl.copy()
-    sl_first[axis] = 0
-    sl_last[axis] = -1
-    out[tuple(sl_first)] = first
-    out[tuple(sl_last)] = last
-    return out
+    return np.gradient(a, h, axis=axis, edge_order=2)
 
 
 def _d2_edge(a, axis, h):
-    out = (np.roll(a, -1, axis=axis) - 2 * a + np.roll(a, 1, axis=axis)) / h**2
-    sl = [slice(None)] * a.ndim
-
-    def take(i):
-        sl2 = sl.copy()
-        sl2[axis] = i
-        return a[tuple(sl2)]
-
-    first = (2 * take(0) - 5 * take(1) + 4 * take(2) - take(3)) / h**2
-    last = (2 * take(-1) - 5 * take(-2) + 4 * take(-3) - take(-4)) / h**2
-    sl_first, sl_last = sl.copy(), sl.copy()
-    sl_first[axis] = 0
-    sl_last[axis] = -1
-    out[tuple(sl_first)] = first
-    out[tuple(sl_last)] = last
-    return out
+    """Central interior, second-order one-sided at the two edges."""
+    a = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / h**2
+    out[0] = (2 * a[0] - 5 * a[1] + 4 * a[2] - a[3]) / h**2
+    out[-1] = (2 * a[-1] - 5 * a[-2] + 4 * a[-3] - a[-4]) / h**2
+    return np.moveaxis(out, 0, axis)
 
 
 def _frame_data_n3(surface: GraphSurface):
@@ -470,35 +416,26 @@ def geometry(
         g11 = (T1 * _metric_times(G_xi, T1)).sum(axis=0)
         g12 = (T1 * GT2).sum(axis=0)
         g22 = (T2 * GT2).sum(axis=0)
+        # h = (rho / v) (I + p p^T - H) by components
         s = rho / v
-        q11, q12, q22 = 1.0 + f1 * f1, f1 * f2, 1.0 + f2 * f2  # I + p p^T
-        h11, h12, h22 = s * (q11 - H11), s * (q12 - H12), s * (q22 - H22)
+        h11, h12 = s * (1.0 + f1 * f1 - H11), s * (f1 * f2 - H12)
+        h22 = s * (1.0 + f2 * f2 - H22)
         a = g11 * g22 - g12**2
-        b = (h11 * g22 + h22 * g11 - 2.0 * h12 * g12) / f_val
-        HF = b / a
-        parts = dict(q11=q11, q12=q12, q22=q22, h11=h11, h12=h12, h22=h22,
-                     ghat11=g11, ghat12=g12, ghat22=g22, a=a, b=b)
+        HF = (h11 * g22 + h22 * g11 - 2.0 * h12 * g12) / f_val / a
+        parts = dict(h11=h11, h12=h12, h22=h22, ghat11=g11, ghat12=g12, ghat22=g22, a=a)
     else:
         parts = None
-        eye = np.eye(n)
-        outer_p = p[:, :, None] * p[:, None, :]
         # ambient coordinate tangents in the orthonormal sphere frame
         T = rho[:, None, None] * (p[:, :, None] * u[:, None, :] + frame)
         ghat = T @ triangle_matrices(G_xi, n + 1) @ T.transpose(0, 2, 1)
-        h = (rho / v)[:, None, None] * (eye + outer_p - H)
-        hhat = h / f_val[:, None, None]
-        # eigenvalues in a ghat-orthonormal basis via Cholesky
-        L = np.linalg.cholesky(ghat)
-        Linv = np.linalg.inv(L)
-        M = np.einsum("nab,nbc,ndc->nad", Linv, hhat, Linv)
+        h = (rho / v)[:, None, None] * (np.eye(n) + p[:, :, None] * p[:, None, :] - H)
+        # eigenvalues of hhat = h / F in a ghat-orthonormal basis via Cholesky
+        Linv = np.linalg.inv(np.linalg.cholesky(ghat))
+        M = np.einsum("nab,nbc,ndc->nad", Linv, h / f_val[:, None, None], Linv)
         kappa = np.linalg.eigvalsh(M)
         HF = kappa.sum(axis=1)
-        lazy = dict(
-            X=rho[:, None] * u, u_bar=u_hat / denom, g=(rho**2)[:, None, None] * (eye + outer_p),
-            h=h, ghat=ghat, hhat=hhat, kappaF=kappa, Hk=_elementary_symmetric(kappa),
-            area_el=rho**n * v,
-            diffusion_max=float(np.max(u_hat / np.linalg.eigvalsh(ghat)[:, 0])),
-        )
+        lazy = dict(kappaF=kappa,
+                    diffusion_max=float(np.max(u_hat / np.linalg.eigvalsh(ghat)[:, 0])))
     bundle = GeometryBundle(
         surface=surface, norm=norm, omega0=float(omega0), anchor=anchor,
         shape=shape, nu=nu, v=v, rho=rho, F=f_val, nu_F=xi, u_hat=u_hat,
@@ -534,16 +471,14 @@ def wetted_area(surface: GraphSurface) -> float:
     return float(0.5 * np.sum(rb**2) * surface.grid.dlam)
 
 
-def capillary_area(bundle: GeometryBundle, omega0: float | None = None) -> float:
+def capillary_area(bundle: GeometryBundle) -> float:
     """Anisotropic area plus omega0 times the wetted area, normalized."""
-    if omega0 is None:
-        omega0 = bundle.omega0
     grid = bundle.surface.grid
     n = grid.n
     if n == 3:
         return quermassintegral_interior(bundle, 0)
     aniso = bundle.quad(bundle.F * bundle.area_el)
-    return (aniso + omega0 * wetted_area(bundle.surface)) / (n + 1)
+    return (aniso + bundle.omega0 * wetted_area(bundle.surface)) / (n + 1)
 
 
 def quermassintegral_interior(bundle: GeometryBundle, k: int) -> float:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import CapflowError
-from .norms import Norm, sample_directions
+# the ray-root solver and its constants live with the norms; wulff re-exports them
+from .norms import RAY_MAX_ITER, RAY_TOL, Norm, ray_roots, sample_directions
 
 
 class WulffError(ValueError, CapflowError):
@@ -69,56 +70,6 @@ def anchor_vector(norm: Norm, omega0: float) -> AnchorVector:
     if abs(pairing - 1.0) > 1e-10:
         raise WulffError(f"anchor pairing {pairing} != 1")
     return AnchorVector(e_f, float(omega0))
-
-
-RAY_TOL = 1e-14
-RAY_MAX_ITER = 100
-
-
-def ray_roots(
-    norm: Norm, dirs: np.ndarray, offset: np.ndarray, level: float
-) -> tuple[np.ndarray, int]:
-    """Distances rho > 0 with gauge(rho * dirs[n] + offset) = level, per row.
-
-    The offset must lie strictly inside the level set.  Each ray runs Newton
-    steps inside the bracket [lo, hi] that the sign of the residual keeps; a
-    step that leaves the bracket is replaced by its midpoint.  A row stops
-    once its step is at most RAY_TOL relative, and only unconverged rows are
-    evaluated.  Returns the distances and the number of Newton passes.
-    """
-    dirs = np.asarray(dirs, dtype=float)
-    n = dirs.shape[0]
-    lo = np.zeros(n)
-    hi = np.full(n, 2.0 * level)
-    # expand until the gauge exceeds the level along every ray
-    grow = np.arange(n)
-    for _ in range(60):
-        if grow.size == 0:
-            break
-        grow = grow[norm.f0_many(hi[grow, None] * dirs[grow] + offset) < level]
-        hi[grow] *= 2.0
-    rho = 0.5 * (lo + hi)
-    act = np.arange(n)
-    passes = 0
-    while act.size and passes < RAY_MAX_ITER:
-        passes += 1
-        r, u = rho[act], dirs[act]
-        jet = norm.gauge_jets(r[:, None] * u + offset, order=2)
-        g = jet.val - level
-        hi[act] = np.where(g > 0, r, hi[act])
-        lo[act] = np.where(g <= 0, r, lo[act])
-        with np.errstate(all="ignore"):
-            step = g / np.einsum("ni,ni->n", jet.grad, u)
-        r_new = r - step
-        tol = RAY_TOL * np.maximum(1.0, r)
-        # a converged step lands on its own bracket end: test it first
-        done = np.abs(step) <= tol
-        bad = ~done & (~np.isfinite(r_new) | (r_new <= lo[act]) | (r_new >= hi[act]))
-        r_new[bad] = 0.5 * (lo[act][bad] + hi[act][bad])
-        done |= np.abs(r_new - r) <= tol
-        rho[act] = r_new
-        act = act[~done]
-    return rho, passes
 
 
 def ball_slice_points(norm: Norm, omega0: float, plane_dirs: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from capflow import checks, cli
 from capflow.cli import main
 from capflow.norms import QUARTIC_A2_TEXT, DualSolveError, Norm, make_norm
+from capflow.wulff import admissible_interval
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -228,3 +229,29 @@ def test_readme_verify_suites_line_lists_every_suite():
     text = README.read_text(encoding="utf-8")
     paragraph = text.split("Verify suites:", 1)[1].split("\n\n", 1)[0]
     assert tuple(re.findall(r"`([^`]+)`", paragraph)) == tuple(checks.SUITES)
+
+
+# every norm kind at the edges of its parameter range: extreme ellipsoid axes
+# across and along the vertical, and the quartic_a3 shift near +-1
+EDGE_NORMS = [
+    ("sphere", []), ("quartic_a2", []), ("quartic_a2_prime", []), ("custom", []),
+    ("ellipsoid", [1e-6, 1, 1]), ("ellipsoid", [1e6, 1, 1]),
+    ("ellipsoid", [1, 1, 1e-6]), ("ellipsoid", [1, 1, 1e6]),
+    ("quartic_a3", [0.999]), ("quartic_a3", [-0.999]),
+]
+
+
+@pytest.mark.parametrize("kind,params", EDGE_NORMS)
+def test_parameter_edges_end_in_a_documented_exit_code(tmp_path, capsys, kind, params):
+    lo, hi = admissible_interval(make_norm(kind, params, QUARTIC_A2_TEXT))
+    norm = f"norm.kind = {kind}\nnorm.params = {params}\nnorm.f0_expr = {QUARTIC_A2_TEXT}\n"
+    codes = []
+    for i, omega0 in enumerate((lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo))):
+        cfg = (norm + f"flow.omega0 = {omega0!r}\ncondition.omega0 = {omega0!r}\n"
+               "flow.t_end = 1e-9\ngrid.n_beta = 16\ngrid.n_lambda = 16\n"
+               f"condition.samples = 16\noutput.dir = out{i}\n")
+        path = write(tmp_path, f"e{i}.cfg", cfg)
+        for command in ("check-condition", "simulate", "norm-info"):
+            codes.append((command, omega0, main([command, path])))
+    assert all(code in (0, 2, 3) for *_, code in codes), codes
+    assert "Traceback" not in capsys.readouterr().err

@@ -20,6 +20,7 @@ from capflow.flow import (
     polar_filter,
     rate_checks,
     run,
+    stabilized_diffusion,
     step,
     time_step,
 )
@@ -141,9 +142,13 @@ class TestStepping:
         cfg = FlowConfig(norm=A2, omega0=omega0, n_beta=32, n_lambda=64,
                          initial="cap")
         surf = initial_surface(cfg, anchor)
-        phi0 = surf.interior_phi().copy()
-        new, dt, _ = step(surf, A2, omega0, anchor)
-        assert np.abs(new.interior_phi() - phi0).max() <= dt * 5e-3
+        bundle = geometry(surf, A2, omega0, anchor)
+        dt = time_step(surf.grid, bundle.diffusion_max, cfg.cfl_sigma)
+        diffusion = stabilized_diffusion(surf.grid, cfg.cfl_sigma)
+        rings = slice(1, cfg.n_beta + 1)
+        phi0 = surf.phi[rings].copy()
+        new, _ = step(surf, A2, omega0, anchor, bundle, dt, diffusion)
+        assert np.abs(new.phi[rings] - phi0).max() <= dt * 5e-3
 
     def test_cfl_dt_positive_and_quadratic(self):
         grid32 = HalfSphereGrid(2, 32, 64)

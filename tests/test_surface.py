@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from capflow.norms import make_norm
 from capflow.surface import (
+    _d1,
+    _d1_edge,
+    _d2_edge,
     GeometryBundle,
     GraphSurface,
     HalfSphereGrid,
@@ -269,9 +272,7 @@ def oracle_geometry_n2(surface, norm, omega0, anchor):
     u, frame = u.reshape(N, 3), np.stack([e1, e2], axis=-2).reshape(N, 2, 3)
     v = np.sqrt(1.0 + np.sum(p**2, axis=1))
     nu = (u - (p[:, :, None] * frame).sum(axis=1)) / v[:, None]
-    eye, outer_p = np.eye(2), p[:, :, None] * p[:, None, :]
-    g = (rho**2)[:, None, None] * (eye + outer_p)
-    h = (rho / v)[:, None, None] * (eye + outer_p - H)
+    h = (rho / v)[:, None, None] * (np.eye(2) + p[:, :, None] * p[:, None, :] - H)
     F, xi, _, ok = norm.support_many(nu)
     assert np.all(ok)
     T = rho[:, None, None] * (p[:, :, None] * u[:, None, :] + frame)
@@ -292,9 +293,8 @@ def oracle_geometry_n2(surface, norm, omega0, anchor):
     Hk = np.stack([np.ones(N), 0.5 * HF, kappa[:, 0] * kappa[:, 1]], axis=1)
     fields = dict(
         v=v, rho=rho, F=F, nu=nu, nu_F=xi, u_hat=u_hat, u_bar=u_hat / denom,
-        pairing=pairing, g=g, h=h, ghat=ghat, hhat=hhat, kappaF=kappa, Hk=Hk,
-        HF=HF, f=2 * denom - u_hat * HF, area_el=rho**2 * v,
-        diffusion_max=float(np.max(u_hat / lam_min)), X=rho[:, None] * u,
+        pairing=pairing, kappaF=kappa, Hk=Hk, HF=HF, f=2 * denom - u_hat * HF,
+        area_el=rho**2 * v, diffusion_max=float(np.max(u_hat / lam_min)),
     )
     # Both roots take the square root of a discriminant that nearly vanishes
     # where the eigenvalues nearly coincide (umbilic points, a round metric).
@@ -325,6 +325,51 @@ def smooth_surface(grid, seed):
     return GraphSurface(grid, phi)
 
 
+class TestStencilsN3:
+    """The n = 3 derivative stencils, on a (7, 8, 9) lattice along every axis."""
+
+    SHAPE, H = (7, 8, 9), 0.3
+
+    def coordinate(self, axis):
+        x = 0.4 + self.H * np.arange(self.SHAPE[axis])
+        view = [1, 1, 1]
+        view[axis] = -1
+        return x.reshape(view)
+
+    def coefficients(self, rng, count, axis):
+        # constant along axis, varying across the other two
+        shape = list(self.SHAPE)
+        shape[axis] = 1
+        return rng.uniform(-1.0, 1.0, [count] + shape)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_d1_edge_exact_on_quadratics(self, axis):
+        c = self.coefficients(np.random.default_rng(axis), 3, axis)
+        x = self.coordinate(axis)
+        a = c[0] + c[1] * x + c[2] * x**2
+        got = _d1_edge(a, axis, self.H)
+        np.testing.assert_allclose(got, c[1] + 2 * c[2] * x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_d2_edge_exact_on_cubics(self, axis):
+        c = self.coefficients(np.random.default_rng(10 + axis), 4, axis)
+        x = self.coordinate(axis)
+        a = c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3
+        got = _d2_edge(a, axis, self.H)
+        np.testing.assert_allclose(got, 2 * c[2] + 6 * c[3] * x, rtol=0, atol=1e-11)
+
+    def test_d1_is_the_central_symbol_on_a_periodic_mode(self):
+        # the periodic axis of 9 nodes, mode m: d/dx of sin(m x) reads
+        # sin(m h)/h cos(m x) at every node, the wrapped ones included
+        n, m = self.SHAPE[2], 2
+        h = 2 * np.pi / n
+        x = h * np.arange(n)
+        amp = np.random.default_rng(3).uniform(0.5, 1.5, self.SHAPE[:2] + (1,))
+        got = _d1(amp * np.sin(m * x), 2, h)
+        np.testing.assert_allclose(got, amp * np.sin(m * h) / h * np.cos(m * x),
+                                   rtol=0, atol=1e-14)
+
+
 class TestLeanKernel:
     CASES = [(SPHERE, -0.5), (A2, -0.3)]
 
@@ -345,14 +390,13 @@ class TestLeanKernel:
 
     def test_lazy_fields_are_cached(self):
         b = cap_bundle(A2, -0.3, nb=16, nl=32)
-        for name in ("X", "u_bar", "g", "h", "ghat", "hhat", "kappaF", "Hk",
-                     "area_el", "diffusion_max"):
+        for name in ("u_bar", "kappaF", "Hk", "area_el", "diffusion_max"):
             assert getattr(b, name) is getattr(b, name), name
 
 
 class TestCarriedJets:
     FIELDS = ("nu", "v", "rho", "F", "nu_F", "u_hat", "pairing", "HF", "f", "maximizers",
-              "maximizer_jets", "ghat", "kappaF", "diffusion_max")
+              "maximizer_jets", "kappaF", "diffusion_max")
 
     @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from([0, 1]))
     @settings(max_examples=10, deadline=None)
