@@ -238,9 +238,9 @@ def cmd_check_condition(config_path: str) -> int:
         d = norm.d
         header = [f"z{i}" for i in range(d)] + [f"Y{i}" for i in range(d)] + ["margin"]
         fh.write(",".join(header) + "\n")
-        for s in report.samples:
-            row = list(s["z"]) + list(s["Y"]) + [s["margin"]]
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+        rows = np.column_stack([[s[k] for s in report.samples] for k in ("z", "Y", "margin")])
+        row = ",".join(["%.12g"] * len(header)) + "\n"
+        fh.write("".join(row % tuple(r) for r in rows.tolist()))
     return EXIT_OK
 
 

@@ -141,17 +141,23 @@ INITIAL_PRESETS = ("perturbed-cap", "cap")
 
 
 def initial_surface(config: FlowConfig, anchor: AnchorVector) -> GraphSurface:
+    return _initial_state(config, anchor)[0]
+
+
+def _initial_state(config: FlowConfig, anchor: AnchorVector):
+    """The preset start surface and the unit cap's radii at the lattice
+    directions, (n_beta + 1, n_lambda): one set of ray roots builds both."""
     grid = HalfSphereGrid(2, config.n_beta, config.n_lambda)
     shape = CapillaryWulffShape(config.norm, 1.0, config.omega0, anchor)
-    surf = GraphSurface.from_wulff(grid, shape)
-    if config.initial == "cap":
-        return surf
+    unit_radial = shape.radial_many(grid.directions())
+    surf = GraphSurface.from_wulff(grid, shape, unit_radial)
     if config.initial == "perturbed-cap":
         factor = perturbation_field(grid, config.epsilon, config.seed)
         surf.phi[: grid.n_beta + 1] += np.log(factor)
         boundary_enforce(surf, config.norm, config.omega0, config.boundary_tol)
-        return surf
-    raise FlowError(f"unknown initial preset {config.initial!r}")
+    elif config.initial != "cap":
+        raise FlowError(f"unknown initial preset {config.initial!r}")
+    return surf, unit_radial
 
 
 # the boundary closure's Newton stops once no rim node's update exceeds
@@ -372,11 +378,8 @@ def run(config: FlowConfig):
     """
     norm, omega0 = config.norm, config.omega0
     anchor = anchor_vector(norm, omega0)
-    surface = initial_surface(config, anchor)
+    surface, unit_radial = _initial_state(config, anchor)
     grid = surface.grid
-    unit_radial = CapillaryWulffShape(norm, 1.0, omega0, anchor).radial_many(
-        grid.directions().reshape(-1, 3)
-    ).reshape(grid.n_beta + 1, grid.n_lambda)
     # volume of the unit cap, by the quadrature of enclosed_volume
     v0_unit = grid.quad(unit_radial[1:] ** 3, unit_radial[0, 0] ** 3) / 3
     trace = FlowTrace()

@@ -210,14 +210,16 @@ class Norm:
         G = gauge*Hess + Dgauge Dgauge^T:  G w = r_x, ds = <Dgauge, w>,
         dz = (gauge/s) w - (ds/s + r_g/gauge) z.  The loop runs on
         component-major arrays, (d, N) points and gauge_components jets, for
-        every d; only the rows above tol take a step.  jets0, the
+        every d, on all N rows at once: a row at tol or with a NaN residual
+        takes a zero step and keeps its state bitwise, and only the rows above
+        tol steer the line search or meet the metric check.  jets0, the
         gauge_components array at z0, spares the start-up evaluation.
         Returns (values, maximizers (N, d), iterations, converged_mask) and,
         with return_jets, the gauge_components array at the maximizers as a
         fifth item.
         """
         xs = np.asarray(xs, dtype=float)
-        n, d = xs.shape
+        d = xs.shape[1]
         norms_x = np.linalg.norm(xs, axis=1)
         if np.any(norms_x == 0.0):
             raise NormError("support direction must be nonzero")
@@ -242,31 +244,33 @@ class Norm:
             return r, np.sqrt((r * r).sum(axis=0)) / scale_a
 
         r, rnorm = residual_norm(x, s, jet, scale)
+        eye = np.eye(d)[_triangle(d)][:, None]
         iterations = 0
         for iterations in range(1, DUAL_MAX_ITER + 1):
-            act = np.nonzero(rnorm > tol)[0]
-            if act.size == 0:
+            keep = ~(rnorm > tol)
+            if keep.all():
                 break
-            if act.size == n:
-                act = slice(None)
-            # Newton step on unconverged rows only, eliminated through G
-            xa, za, sa, ra, ja = x[:, act], z[:, act], s[act], r[:, act], jet[:, act]
-            ga, grad = ja[0], ja[1 : d + 1]
-            w = solve_components(metric_components(ja, d), ra[:d], self.name)
+            # Newton step through G; the rows kept solve against I, step by 0
+            ga, grad = jet[0], jet[1 : d + 1]
+            g = metric_components(jet, d)
+            np.copyto(g, eye, where=keep)
+            w = solve_components(g, r[:d], self.name)
             ds = (grad * w).sum(axis=0)
-            dz = (ga / sa) * w - (ds / sa + ra[d] / ga) * za
+            dz = (ga / s) * w - (ds / s + r[d] / ga) * z
+            np.copyto(dz, 0.0, where=keep)
             step = 1.0
             for _ in range(30):
-                z_try = za + step * dz
-                s_try = sa + step * ds
+                z_try = z + step * dz
+                s_try = s + step * ds
                 with np.errstate(all="ignore"):
                     jet_try = self.gauge_components(z_try)
-                    r_try, rnorm_try = residual_norm(xa, s_try, jet_try, scale[act])
-                if np.all(np.isfinite(rnorm_try) & (rnorm_try <= rnorm[act])):
+                    r_try, rnorm_try = residual_norm(x, s_try, jet_try, scale)
+                if np.all((np.isfinite(rnorm_try) & (rnorm_try <= rnorm)) | keep):
                     break
                 step *= 0.5
-            z[:, act], s[act], r[:, act], rnorm[act] = z_try, s_try, r_try, rnorm_try
-            jet[:, act] = jet_try
+            for kept, new in zip((z, s, r, rnorm, jet), (z_try, s_try, r_try, rnorm_try, jet_try)):
+                np.copyto(new, kept, where=keep)
+            z, s, r, rnorm, jet = z_try, s_try, r_try, rnorm_try, jet_try
         converged = rnorm <= max(tol, DUAL_TOL) * 10
         z = np.ascontiguousarray(z.T)
         if not return_jets:

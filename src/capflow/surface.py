@@ -157,8 +157,10 @@ class GraphSurface:
         return cls(grid, phi)
 
     @classmethod
-    def from_wulff(cls, grid: HalfSphereGrid, shape: CapillaryWulffShape) -> "GraphSurface":
-        surf = cls.from_radial(grid, shape.radial_many)
+    def from_wulff(cls, grid: HalfSphereGrid, shape: CapillaryWulffShape,
+                   radial: np.ndarray | None = None) -> "GraphSurface":
+        """The shape's graph; radial, its radii at grid.directions(), spares their ray roots."""
+        surf = cls.from_radial(grid, shape.radial_many if radial is None else lambda _: radial)
         if grid.n == 2:
             # the model shape continues below the plane, so the ghost row can
             # be sampled exactly
@@ -238,8 +240,7 @@ class GeometryBundle:
         # the eigenvalue gap of ghat as sqrt((g11 - g22)^2 + 4 g12^2), not as
         # sqrt(tr^2 - 4 det), which cancels where the eigenvalues nearly agree
         g11, g12, g22 = (self.parts[k] for k in ("ghat11", "ghat12", "ghat22"))
-        lam_min = 0.5 * (g11 + g22 - np.hypot(g11 - g22, 2.0 * g12))
-        return float(np.max(self.u_hat / lam_min))
+        return _diffusion_bound(self.u_hat, 0.5 * (g11 + g22 - np.hypot(g11 - g22, 2.0 * g12)))
 
     def quad(self, values: np.ndarray, pole_value: float | None = None) -> float:
         return self.surface.grid.quad(values.reshape(self.shape), pole_value)
@@ -249,6 +250,13 @@ class GeometryBundle:
         n = self.surface.grid.n
         mean = self.HF / n
         return np.sum((self.kappaF - mean[:, None]) ** 2, axis=1)
+
+
+def _diffusion_bound(u_hat: np.ndarray, lam_min: np.ndarray) -> float:
+    """max u_hat / lam_min over the nodes, lam_min ghat's smallest eigenvalue."""
+    if np.any(lam_min <= 0.0):
+        raise SurfaceError(f"degenerate metric ghat: smallest eigenvalue {lam_min.min():.3g}")
+    return float(np.max(u_hat / lam_min))
 
 
 def _stencils_n2(surface: GraphSurface):
@@ -435,7 +443,7 @@ def geometry(
         kappa = np.linalg.eigvalsh(M)
         HF = kappa.sum(axis=1)
         lazy = dict(kappaF=kappa,
-                    diffusion_max=float(np.max(u_hat / np.linalg.eigvalsh(ghat)[:, 0])))
+                    diffusion_max=_diffusion_bound(u_hat, np.linalg.eigvalsh(ghat)[:, 0]))
     bundle = GeometryBundle(
         surface=surface, norm=norm, omega0=float(omega0), anchor=anchor,
         shape=shape, nu=nu, v=v, rho=rho, F=f_val, nu_F=xi, u_hat=u_hat,

@@ -255,3 +255,21 @@ def test_parameter_edges_end_in_a_documented_exit_code(tmp_path, capsys, kind, p
             codes.append((command, omega0, main([command, path])))
     assert all(code in (0, 2, 3) for *_, code in codes), codes
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_degenerate_metric_is_named_without_a_numpy_warning(tmp_path):
+    # the ellipsoid [1e6, 1, 1] near the low end of its admissible interval:
+    # ghat's smallest eigenvalue is 0 on the 16x16 grid, which used to be
+    # divided by and reported as a time step underflow
+    lo, hi = admissible_interval(make_norm("ellipsoid", [1e6, 1, 1]))
+    cfg = write(tmp_path, "d.cfg", (
+        f"norm.kind = ellipsoid\nnorm.params = [1e6, 1, 1]\n"
+        f"flow.omega0 = {lo + 1e-9 * (hi - lo)!r}\nflow.t_end = 1e-9\n"
+        "grid.n_beta = 16\ngrid.n_lambda = 16\noutput.dir = out\n"))
+    env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "capflow.cli", "simulate", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "degenerate metric ghat" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr

@@ -358,6 +358,19 @@ class TestRun:
         np.testing.assert_allclose(trace.radial_deviation, np.abs(ratio - r0).max(),
                                    rtol=1e-12, atol=0.0)
 
+    def test_unit_cap_radii_are_built_once(self, monkeypatch):
+        # the start surface and the unit cap share one set of lattice ray roots
+        sizes = []
+        radial_many = CapillaryWulffShape.radial_many
+
+        def counted(self, directions):
+            sizes.append(np.asarray(directions).size // 3)
+            return radial_many(self, directions)
+
+        monkeypatch.setattr(CapillaryWulffShape, "radial_many", counted)
+        run(FlowConfig(norm=A2, omega0=-0.3, n_beta=16, n_lambda=32, t_end=1e-3))
+        assert sizes.count(17 * 32) == 1
+
     def test_trace_csv_schema(self, tmp_path):
         cfg = FlowConfig(norm=SPHERE, omega0=0.0, n_beta=32, n_lambda=64,
                          t_end=0.01, record_every=20)

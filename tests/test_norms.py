@@ -18,6 +18,7 @@ from capflow.norms import (
     fibonacci_sphere,
     jet_components,
     make_norm,
+    metric_components,
     solve_components,
 )
 
@@ -370,6 +371,119 @@ class TestEliminatedSolve:
         norm = ExpressionNorm(expr_mod.parse("(x^4+y^4+z^4)^(1/4)", dim=3))
         with pytest.raises(DualSolveError):
             norm.support_many(np.array([[1.0, 0.1, 0.0]]), z0=np.array([[1.0, 0.0, 0.0]]))
+
+
+def gather_support(norm, xs, z0, jets0, tol=DUAL_TOL):
+    """Oracle of the full-array Newton loop: the same solve as it ran before,
+    gathering the rows above tol each iteration and scattering them back.
+    Returns (values, maximizers, iterations, converged, jets)."""
+    d = xs.shape[1]
+    norms_x = np.linalg.norm(xs, axis=1)
+    x = np.ascontiguousarray(xs.T)
+    start = np.ascontiguousarray(z0.T)
+    c = jets0[0]
+    z = start / c
+    jet = np.empty(jets0.shape)
+    jet[0] = 1.0
+    jet[1 : d + 1] = jets0[1 : d + 1]
+    jet[d + 1 :] = jets0[d + 1 :] * c
+    s = (x * z).sum(axis=0)
+    scale = np.maximum(1.0, norms_x)
+
+    def residual_norm(xa, sa, jeta, scale_a):
+        r = np.empty((d + 1, xa.shape[1]))
+        r[:d] = xa - sa * jeta[1 : d + 1]
+        r[d] = jeta[0] - 1.0
+        return r, np.sqrt((r * r).sum(axis=0)) / scale_a
+
+    r, rnorm = residual_norm(x, s, jet, scale)
+    iterations = 0
+    for iterations in range(1, DUAL_MAX_ITER + 1):
+        act = np.nonzero(rnorm > tol)[0]
+        if act.size == 0:
+            break
+        xa, za, sa, ra, ja = x[:, act], z[:, act], s[act], r[:, act], jet[:, act]
+        ga, grad = ja[0], ja[1 : d + 1]
+        w = solve_components(metric_components(ja, d), ra[:d], norm.name)
+        ds = (grad * w).sum(axis=0)
+        dz = (ga / sa) * w - (ds / sa + ra[d] / ga) * za
+        step = 1.0
+        for _ in range(30):
+            z_try = za + step * dz
+            s_try = sa + step * ds
+            with np.errstate(all="ignore"):
+                jet_try = norm.gauge_components(z_try)
+                r_try, rnorm_try = residual_norm(xa, s_try, jet_try, scale[act])
+            if np.all(np.isfinite(rnorm_try) & (rnorm_try <= rnorm[act])):
+                break
+            step *= 0.5
+        z[:, act], s[act], r[:, act], rnorm[act] = z_try, s_try, r_try, rnorm_try
+        jet[:, act] = jet_try
+    return s, z.T, iterations, rnorm <= max(tol, DUAL_TOL) * 10, jet
+
+
+# how a row of a warm batch starts: at its converged maximizer with the
+# solve's own jets, perturbed from it, cold at its direction, or from a NaN
+# direction (a NaN start residual)
+ROW_STARTS = ("converged", "perturbed", "cold", "nan")
+
+
+class TestFullArrayLoop:
+    @given(
+        kind=st.sampled_from(["quartic_a2", "quartic_a2_prime", "custom", "custom_d4"]),
+        rows=st.lists(st.tuples(DIRECTION, st.sampled_from(ROW_STARTS), st.floats(-0.05, 0.05)),
+                      min_size=1, max_size=12),
+        length=st.floats(0.5, 4.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_gather_loop_on_mixed_batches(self, kind, rows, length):
+        norm = SOLVE_NORMS[kind]
+        d = norm.d
+        xs = length * np.array([direction(a, d) for a, _, _ in rows])
+        _, z, _, ok, jets = norm.support_many(xs, return_jets=True)
+        assert np.all(ok)
+        z0 = z.copy()
+        for i, (_, start, shift) in enumerate(rows):
+            if start == "perturbed":
+                z0[i] = z[i] * (1.0 + shift) + shift * np.roll(z[i], 1)
+            elif start == "cold":
+                z0[i] = xs[i]
+        jets0 = norm.gauge_components(np.ascontiguousarray(z0.T))
+        at_max = np.array([start in ("converged", "nan") for _, start, _ in rows])
+        jets0[:, at_max] = jets[:, at_max]
+        nan_row = np.array([start == "nan" for _, start, _ in rows])
+        xs[nan_row] = np.nan
+        got = norm.support_many(xs, z0=z0, return_jets=True, jets0=jets0)
+        want = gather_support(norm, xs, z0, jets0)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+        # the rows that start at tol come back bitwise unchanged
+        x = np.ascontiguousarray(xs.T)
+        z_start = np.ascontiguousarray(z0.T) / jets0[0]
+        s_start = (x * z_start).sum(axis=0)
+        r_x = x - s_start * jets0[1 : d + 1]
+        scale = np.maximum(1.0, np.linalg.norm(xs, axis=1))
+        at_tol = np.sqrt((r_x * r_x).sum(axis=0)) / scale <= DUAL_TOL
+        assert got[0][at_tol].tobytes() == s_start[at_tol].tobytes()
+        assert got[1][at_tol].tobytes() == z_start.T[at_tol].tobytes()
+        # a NaN start residual stays put, unconverged, and raises nothing
+        assert not got[3][nan_row].any()
+
+
+    @pytest.mark.parametrize("kind", ["quartic_a2", "quartic_a2_prime"])
+    def test_a_nan_start_point_is_left_unconverged(self, kind):
+        # NaN jets at one start point give that row a non-finite metric; the
+        # row is never above tol, so it must not reach the metric check
+        norm = SOLVE_NORMS[kind]
+        angles = [(0.3, 0.0, 1.0), (1.2, 0.0, 4.0), (2.9, 0.0, 2.0)]
+        xs = np.array([direction(a, 3) for a in angles])
+        z0 = xs * 1.03
+        jets0 = norm.gauge_components(np.ascontiguousarray(z0.T))
+        jets0[:, 1] = np.nan
+        got = norm.support_many(xs, z0=z0, return_jets=True, jets0=jets0)
+        assert got[3].tolist() == [True, False, True]
+        for a, b in zip(got, gather_support(norm, xs, z0, jets0)):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 # -- component-major jets and the solve on them --------------------------------
