@@ -7,10 +7,13 @@ and solves (I - dt A L) delta = dt * speed with L the round Laplacian and A
 the bundle's diffusion bound (stabilized semi-implicit stepping, Smereka
 2003), so dt scales with dbeta, not dbeta^2.  The ghost layer then closes
 the contact-angle relation at the boundary ring: the relation pins each rim
-maximizer to the unit ball's slice at height -omega0, so a 2x2 Newton per
-rim node finds it there, and the ghost value follows from the gauge
-gradient at that point.  A fixed dt_override takes A = 0: forward Euler,
-the reference explicit scheme.
+maximizer to the unit ball's slice at height -omega0, where
+Norm.slice_maximizers finds it (in closed form for a quadric gauge, else by
+a 2x2 Newton per rim node), and the ghost value follows from the gauge
+gradient at that point.  The implicit solve's per-mode inverse is built once
+per run by tridiagonal elimination.  A fixed dt_override takes A = 0:
+forward Euler, the reference explicit scheme; a step that moves phi by more
+than MAX_PHI_STEP ends the run as a blow-up.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CapflowError
-from .norms import Norm
+from .norms import FlowError, Norm
 from .surface import (
     GeometryBundle,
     GraphSurface,
@@ -33,11 +36,7 @@ from .surface import (
     minkowski_residual,
     quermassintegral_interior,
 )
-from .wulff import AnchorVector, CapillaryWulffShape, anchor_vector, ball_slice_points
-
-
-class FlowError(RuntimeError, CapflowError):
-    pass
+from .wulff import AnchorVector, CapillaryWulffShape, anchor_vector
 
 
 class BlowUpError(FlowError):
@@ -160,12 +159,6 @@ def _initial_state(config: FlowConfig, anchor: AnchorVector):
     return surf, unit_radial
 
 
-# the boundary closure's Newton stops once no rim node's update exceeds
-# CLOSURE_TOL, and fails after CLOSURE_MAX_ITER iterations
-CLOSURE_TOL = 1e-13
-CLOSURE_MAX_ITER = 50
-
-
 def boundary_enforce(
     surface: GraphSurface,
     norm: Norm,
@@ -178,12 +171,12 @@ def boundary_enforce(
     At beta = pi/2 the rim direction is w = h + p_beta E_up, where h = u -
     p_lambda e2 is horizontal and only p_beta depends on the ghost value.  The
     maximizer z of <w, .> lies on the unit ball's slice z_3 = -omega0, where
-    the horizontal gauge gradient is parallel to h.  A 2x2 Newton per node
-    solves gauge(z) = 1 and h_1 d_2 gauge - h_2 d_1 gauge = 0 for (z_1, z_2),
-    from z0 (the rim maximizers (n_lambda, 3) of a nearby surface) or from the
-    slice points along h.  Then w = s Dgauge(z) with s = |h|^2 / <h, D_h gauge>
-    gives p_beta = s d_3 gauge.  One support_many from z re-checks the contact
-    residual max |z_3 + omega0|, which must reach tol and is returned.
+    the horizontal gauge gradient is parallel to h: norm.slice_maximizers
+    finds it (a closed form for quadric gauges, else a 2x2 Newton per node
+    from z0, the rim maximizers (n_lambda, 3) of a nearby surface).  Then
+    w = s Dgauge(z) with s = |h|^2 / <h, D_h gauge> gives p_beta = s d_3 gauge.
+    One support_many from z re-checks the contact residual max |z_3 + omega0|,
+    which must reach tol and is returned.
     """
     grid = surface.grid
     if grid.n != 2:
@@ -192,32 +185,14 @@ def boundary_enforce(
     row = surface.phi[nb]
     ext = np.concatenate((row[-1:], row, row[:1]))
     p_l = (ext[2:] - ext[:-2]) / (2 * grid.dlam)
-    h1, h2, _ = grid.frame_u[:, -nl:] - p_l * grid.frame_e2[:, -nl:]
-    if z0 is None:
-        h_len = np.hypot(h1, h2)
-        z0 = ball_slice_points(norm, omega0, np.stack([h1 / h_len, h2 / h_len, 0 * h1], 1))
-    z = np.array(z0, dtype=float).T
-    z[2] = -omega0
-    for _ in range(CLOSURE_MAX_ITER):
-        # jets rows: value, gradient 0..2, Hessian 00 01 02 11 12 22
-        c = norm.gauge_components(z)
-        r1, r2 = c[0] - 1.0, h1 * c[2] - h2 * c[1]
-        j21, j22 = h1 * c[5] - h2 * c[4], h1 * c[7] - h2 * c[5]
-        det = c[1] * j22 - c[2] * j21
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dz = np.stack(((j22 * r1 - c[2] * r2) / det, (c[1] * r2 - j21 * r1) / det))
-        if not np.isfinite(dz).all():
-            raise FlowError("singular boundary closure system")
-        if np.abs(dz).max() <= CLOSURE_TOL:
-            break
-        z[:2] -= dz
-    else:
-        raise FlowError(f"boundary closure did not converge in {CLOSURE_MAX_ITER} iterations")
+    h = (grid.frame_u[:, -nl:] - p_l * grid.frame_e2[:, -nl:])[:2]
+    z, c = norm.slice_maximizers(h, omega0, z0)
+    h1, h2 = h
     along = h1 * c[1] + h2 * c[2]
     if not np.all(along > 0.0):
         raise FlowError("boundary slice has no point with the rim normal")
     p_b = (h1 * h1 + h2 * h2) / along * c[3]
-    _, z, _, ok = norm.support_many(np.stack([h1, h2, p_b], 1), z0=z.T, tol=min(tol, 1e-10))
+    _, z, _, ok = norm.support_many(np.stack([h1, h2, p_b], 1), z0=z, tol=min(tol, 1e-10))
     if not np.all(ok):
         raise FlowError(f"boundary dual solve failed at node {int(np.argmax(~ok))}")
     res = float(np.abs(z[:, 2] + omega0).max())
@@ -281,13 +256,16 @@ class ImplicitDiffusion:
     lam_m = (2 - 2 cos(m dlam)) / dlam^2) rows 1..n_beta read (x+ - 2x + x-)/
     dbeta^2 + cot(beta) (x+ - x-)/(2 dbeta) - lam_m x/sin^2(beta), closed by
     x_{n_beta+1} = x_{n_beta-1}; the pole row is 4 (x_1 - x_0)/dbeta^2 for
-    m = 0 and x_0 = 0 for m >= 1.  Each mode's tridiagonal matrix is inverted
-    once, in one batch: (n_beta + 1)^2 (n_lambda/2 + 1) doubles.  (I - c L) is
-    an M-matrix: x is no larger than delta.
+    m = 0 and x_0 = 0 for m >= 1.  For c >= 0, (I - c L) is an M-matrix, so
+    each mode's tridiagonal matrix is inverted once by elimination without
+    pivoting, all modes at once: (n_beta + 1)^2 (n_lambda/2 + 1) doubles.  x
+    is no larger than delta.
     """
 
     def __init__(self, grid: HalfSphereGrid, c: float):
         self.grid, self._inverse = grid, None
+        if c < 0.0:
+            raise FlowError(f"implicit diffusion coefficient {c:.6g} is negative")
         if c == 0.0:
             return
         nb, db = grid.n_beta, grid.dbeta
@@ -302,15 +280,23 @@ class ImplicitDiffusion:
         diag[:, 0] = np.where(m == 0, 4.0 / db**2, 0.0)
         diag[:, 1:] = 2.0 / db**2 + lam_m[:, None] / np.sin(beta) ** 2
         rows = np.arange(nb + 1)
-        mat = np.zeros((m.size, nb + 1, nb + 1))
-        mat[:, rows, rows] = 1.0 + c * diag
-        mat[:, rows[1:], rows[:-1]] = -c * lower
-        mat[:, rows[:-1], rows[1:]] = -c * upper
-        mat[1:, 0, 1] = 0.0
-        try:
-            inverse = np.linalg.inv(mat)
-        except np.linalg.LinAlgError as exc:
-            raise FlowError(f"implicit diffusion inverse failed ({exc})") from exc
+        inverse = np.zeros((m.size, nb + 1, nb + 1))
+        inverse[:, rows, rows] = 1.0
+        # LU without pivoting (Thomas) of every mode at once, applied to I; a
+        # coefficient too large for the pivots fails the finiteness check
+        with np.errstate(all="ignore"):
+            sub = -c * lower
+            sup = np.tile(-c * upper, (m.size, 1))
+            sup[1:, 0] = 0.0
+            pivot = 1.0 + c * diag
+            for i in rows[1:]:
+                w = sub[i - 1] / pivot[:, i - 1]
+                pivot[:, i] -= w * sup[:, i - 1]
+                inverse[:, i] -= w[:, None] * inverse[:, i - 1]
+            inverse[:, nb] /= pivot[:, nb, None]
+            for i in rows[-2::-1]:
+                inverse[:, i] -= sup[:, i, None] * inverse[:, i + 1]
+                inverse[:, i] /= pivot[:, i, None]
         if not np.isfinite(inverse).all():
             raise FlowError("implicit diffusion inverse is not finite")
         self._inverse = inverse
@@ -353,6 +339,11 @@ def step(
     return new, geometry(new, norm, omega0, anchor, warm=bundle, dual_tol=1e-9)
 
 
+# a step that moves some node's phi by more than MAX_PHI_STEP (its radius by a
+# factor e) is a blow-up; converging flows move phi by at most a few 1e-2
+MAX_PHI_STEP = 1.0
+
+
 def _advance(surface: GraphSurface, bundle: GeometryBundle, dt: float,
              diffusion: ImplicitDiffusion) -> None:
     grid = surface.grid
@@ -363,7 +354,11 @@ def _advance(surface: GraphSurface, bundle: GeometryBundle, dt: float,
     delta = np.empty((nb + 1, grid.n_lambda))
     delta[0] = dt * ((4.0 * means[0] - means[1]) / 3.0)
     delta[1:] = dt * rhs
-    surface.phi[: nb + 1] += diffusion.solve(delta)
+    move = diffusion.solve(delta)
+    surface.phi[: nb + 1] += move
+    jump = float(np.abs(move).max())
+    if not jump <= MAX_PHI_STEP:
+        raise BlowUpError(f"a step moved phi by {jump:.3g} (bound {MAX_PHI_STEP:g})")
     if np.abs(surface.phi).max() > 20.0 or not np.all(np.isfinite(surface.phi)):
         raise BlowUpError("phi out of range")
 

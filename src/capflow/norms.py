@@ -28,6 +28,10 @@ from .expr import (
 
 DUAL_TOL = 1e-12
 DUAL_MAX_ITER = 60
+# the generic rim closure's Newton stops once no rim node's update exceeds
+# CLOSURE_TOL, and fails after CLOSURE_MAX_ITER iterations
+CLOSURE_TOL = 1e-13
+CLOSURE_MAX_ITER = 50
 # a custom gauge must satisfy |gauge(t x) - t gauge(x)| <= HOMOGENEITY_TOL
 # times its largest value on the sampled unit directions and +-E_1 ... +-E_d
 HOMOGENEITY_TOL = 1e-10
@@ -42,6 +46,11 @@ class NormError(ValueError, CapflowError):
 
 class DualSolveError(NormError):
     """The support solve failed to converge."""
+
+
+class FlowError(RuntimeError, CapflowError):
+    """A flow step failed; raised here by the rim closure, which the flow's
+    boundary step calls, and re-exported by capflow.flow."""
 
 
 @dataclass
@@ -277,6 +286,40 @@ class Norm:
             return s, z, iterations, converged
         return s, z, iterations, converged, jet
 
+    def slice_maximizers(self, h: np.ndarray, omega0: float, z0: np.ndarray | None = None):
+        """Rim maximizers on the unit ball's slice z_3 = -omega0 (d = 3).
+
+        h (2, N) holds the horizontal parts of the rim directions,
+        component-major.  The maximizer z of <h + t E_up, .> for the right t
+        lies on the slice, where the horizontal gauge gradient is parallel to
+        h.  A 2x2 Newton per node solves gauge(z) = 1 and h_1 d_2 gauge - h_2
+        d_1 gauge = 0 for (z_1, z_2), from z0 (N, 3) or from the slice points
+        along h.  Returns z (N, 3) and the gauge_components array at z.
+        """
+        h1, h2 = h
+        if z0 is None:
+            from .wulff import ball_slice_points  # wulff imports this module
+            h_len = np.hypot(h1, h2)
+            z0 = ball_slice_points(self, omega0, np.stack([h1 / h_len, h2 / h_len, 0 * h1], 1))
+        z = np.array(z0, dtype=float).T
+        z[2] = -omega0
+        for _ in range(CLOSURE_MAX_ITER):
+            # jets rows: value, gradient 0..2, Hessian 00 01 02 11 12 22
+            c = self.gauge_components(z)
+            r1, r2 = c[0] - 1.0, h1 * c[2] - h2 * c[1]
+            j21, j22 = h1 * c[5] - h2 * c[4], h1 * c[7] - h2 * c[5]
+            det = c[1] * j22 - c[2] * j21
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dz = np.stack(((j22 * r1 - c[2] * r2) / det, (c[1] * r2 - j21 * r1) / det))
+            if not np.isfinite(dz).all():
+                raise FlowError("singular boundary closure system")
+            if np.abs(dz).max() <= CLOSURE_TOL:
+                break
+            z[:2] -= dz
+        else:
+            raise FlowError(f"boundary closure did not converge in {CLOSURE_MAX_ITER} iterations")
+        return z.T, c
+
     def support(self, x) -> DualSolveResult:
         """Support value and touching point for one direction."""
         xs = np.asarray(x, dtype=float)[None, :]
@@ -427,6 +470,12 @@ class QuadraticNorm(Norm):
         super().__init__(m.shape[0], name=name)
         self.m = m
         self.m_inv = np.linalg.inv(m)
+        if self.d == 3:
+            # the rim closure's constants: A^-1 of the horizontal block A, A^-1 m
+            # for its column m, and s = M_33 - m^T A^-1 m
+            self._a_inv = np.linalg.inv(m[:2, :2])
+            self._a_inv_m = self._a_inv @ m[:2, 2]
+            self._slice_s = float(m[2, 2] - m[:2, 2] @ self._a_inv_m)
 
     def gauge_components(self, pts: np.ndarray) -> np.ndarray:
         d = self.d
@@ -447,6 +496,21 @@ class QuadraticNorm(Norm):
             jet.third = -_sym3_hg(jet.hess, jet.grad) / jet.val[:, None, None, None]
             symmetrize_third(jet.third)
         return jet
+
+    def slice_maximizers(self, h, omega0, z0=None):
+        """Closed form: on the slice z = (y, -omega0) the horizontal gradient is
+        parallel to h when A y - omega0 m = t h, so y = t A^-1 h + omega0 A^-1 m,
+        and gauge(z) = 1 reads t^2 h^T A^-1 h = 1 - omega0^2 s; the root t > 0
+        turns the gradient towards h.  z0 is unused."""
+        room = 1.0 - omega0 * omega0 * self._slice_s
+        if not room > 0.0:
+            raise FlowError(f"empty boundary slice at height {-omega0:.6g} for {self.name}")
+        a_inv_h = self._a_inv @ h
+        t = np.sqrt(room / (h * a_inv_h).sum(axis=0))
+        z = np.empty((3, h.shape[1]))
+        z[:2] = t * a_inv_h + omega0 * self._a_inv_m[:, None]
+        z[2] = -omega0
+        return z.T, self.gauge_components(z)
 
     def support_many(self, xs, z0=None, tol=DUAL_TOL, return_jets=False, jets0=None):
         xs = np.asarray(xs, dtype=float)

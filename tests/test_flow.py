@@ -1,6 +1,7 @@
 """Time stepping, boundary solve, monitors, and failure paths."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from capflow.flow import (
     time_step,
 )
 from capflow.checks import static_cap_bundle
-from capflow.norms import make_norm
+from capflow import norms
+from capflow.norms import Norm, QuadraticNorm, make_norm
 from capflow.surface import GraphSurface, HalfSphereGrid, enclosed_volume, geometry
 from capflow.wulff import CapillaryWulffShape, anchor_vector
 
@@ -133,6 +135,60 @@ class TestBoundaryClosure:
         z0 = -geometry(surf, A2, -0.3).maximizers[-grid.n_lambda:]
         with pytest.raises(FlowError, match="rim normal"):
             boundary_enforce(surf, A2, -0.3, z0=z0)
+
+
+def rotated_quadric() -> QuadraticNorm:
+    """sqrt(z^T M z) for M = R diag(1, 1/2, 2) R^T, R a turn by 0.5 about
+    (1, 1, 0)/sqrt(2): its column m = M[:2, 2] is not 0."""
+    axis = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    k = np.cross(np.eye(3), axis)
+    rot = np.eye(3) + np.sin(0.5) * k + (1.0 - np.cos(0.5)) * k @ k
+    return QuadraticNorm(rot @ np.diag([1.0, 0.5, 2.0]) @ rot.T, name="rotated")
+
+
+QUADRICS = {"sphere": SPHERE, "rotated": rotated_quadric()}
+
+
+class NewtonClosure(QuadraticNorm):
+    """A quadric gauge whose rim closure is the generic 2x2 Newton."""
+
+    slice_maximizers = Norm.slice_maximizers
+
+
+class TestQuadricClosure:
+    @given(seed=st.integers(0, 2**32 - 1), omega0=st.floats(-0.5, 0.5),
+           amp=st.floats(0.0, 0.2), grid_size=st.sampled_from([(16, 32), (24, 48)]),
+           warm=st.booleans(), kind=st.sampled_from(["sphere", "ellipsoid", "rotated"]),
+           axes=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_the_newton(self, seed, omega0, amp, grid_size, warm,
+                                            kind, axes):
+        norm = make_norm("ellipsoid", axes) if kind == "ellipsoid" else QUADRICS[kind]
+        assert norm.m[:2, 2].any() == (kind == "rotated")  # only it tests omega0 A^-1 m
+        newton = NewtonClosure(norm.m)
+        grid = HalfSphereGrid(2, *grid_size)
+        nb, nl = grid.n_beta, grid.n_lambda
+        surf = GraphSurface.from_wulff(grid, CapillaryWulffShape(norm, 1.0, omega0))
+        z0 = geometry(surf, norm, omega0).maximizers[-nl:] if warm else None
+        # low harmonics m = 0..3 on the last three rows, ghost row included
+        coef = np.random.default_rng(seed).uniform(-amp, amp, (3, 4, 2))
+        m = np.arange(4)[:, None] * grid.lambdas
+        surf.phi[nb - 1 :] += (coef[..., :1] * np.cos(m) + coef[..., 1:] * np.sin(m)).sum(1)
+        closed = surf.copy()
+        res = boundary_enforce(closed, norm, omega0, tol=1e-10, z0=z0)
+        # the Newton leaves its last step, up to CLOSURE_TOL = 1e-13, unapplied:
+        # that moves a 16x32 ghost row by up to ~2e-14, so run it to round-off
+        with mock.patch.object(norms, "CLOSURE_TOL", 1e-15):
+            boundary_enforce(surf, newton, omega0, tol=1e-10, z0=z0)
+        assert np.abs(closed.phi[nb + 1] - surf.phi[nb + 1]).max() <= 1e-14
+        assert res <= 1e-15
+
+    @pytest.mark.parametrize("norm, omega0", [
+        (SPHERE, 1.0), (SPHERE, -1.0), (make_norm("ellipsoid", [1.0, 1.0, 0.25]), 0.6)])
+    def test_empty_slice_raises(self, norm, omega0):
+        h = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(FlowError, match="empty boundary slice"):
+            norm.slice_maximizers(h, omega0)
 
 
 class TestStepping:
@@ -250,16 +306,15 @@ class TestImplicitDiffusion:
     def test_matches_dense_real_space_solve_on_the_benchmark_grid(self, seed, c):
         self.check_dense_solve(self.BENCH_GRID, self.BENCH_LAPLACIAN, seed, c)
 
-    def test_singular_inverse_is_a_flow_error(self, monkeypatch):
-        def singular(mat):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "inv", singular)
-        with pytest.raises(FlowError, match="Singular matrix"):
-            ImplicitDiffusion(self.GRID, 0.01)
-        monkeypatch.setattr(np.linalg, "inv", lambda mat: np.full(mat.shape, np.nan))
-        with pytest.raises(FlowError, match="not finite"):
-            ImplicitDiffusion(self.GRID, 0.01)
+    def test_singular_inverse_is_a_flow_error(self):
+        # elimination without pivoting needs (I - c L) to be an M-matrix: a
+        # negative c, which can make a mode's matrix singular, is rejected,
+        # and a coefficient that leaves a pivot non-finite fails the check
+        with pytest.raises(FlowError, match="negative"):
+            ImplicitDiffusion(self.GRID, -0.01)
+        for c in (np.inf, np.nan, 1e308):
+            with pytest.raises(FlowError, match="not finite"):
+                ImplicitDiffusion(self.GRID, c)
 
     @given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
@@ -321,6 +376,16 @@ class TestRun:
         trace, _ = run(cfg)
         assert trace.blow_up
         assert len(trace.records) >= 1
+
+    def test_blow_up_is_caught_by_the_step_size_guard(self):
+        # forward Euler at 2000 times the explicit bound: the first step moves
+        # phi by more than 1, far below the |phi| > 20 guard
+        cfg = FlowConfig(norm=SPHERE, omega0=0.0, n_beta=32, n_lambda=64,
+                         t_end=1.0, dt_override=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trace, _ = run(cfg)
+        assert trace.blow_up and trace.stop_reason.startswith("BlowUpError")
 
     def test_dt_override_above_explicit_bound_warns(self):
         cfg = FlowConfig(norm=SPHERE, omega0=0.0, n_beta=32, n_lambda=64,
