@@ -49,8 +49,8 @@ class DualSolveError(NormError):
 
 
 class FlowError(RuntimeError, CapflowError):
-    """A flow step failed; raised here by the rim closure, which the flow's
-    boundary step calls, and re-exported by capflow.flow."""
+    """A flow failure or an invalid flow setting.  Defined here because the
+    rim closure (slice_maximizers) raises it; capflow.flow re-exports it."""
 
 
 @dataclass

@@ -176,8 +176,8 @@ class TestQuadricClosure:
         surf.phi[nb - 1 :] += (coef[..., :1] * np.cos(m) + coef[..., 1:] * np.sin(m)).sum(1)
         closed = surf.copy()
         res = boundary_enforce(closed, norm, omega0, tol=1e-10, z0=z0)
-        # the Newton leaves its last step, up to CLOSURE_TOL = 1e-13, unapplied:
-        # that moves a 16x32 ghost row by up to ~2e-14, so run it to round-off
+        # the Newton leaves its last step, up to CLOSURE_TOL = 1e-13, unapplied,
+        # which moved 16x32 ghost rows by up to 1.4e-14: run it to round-off
         with mock.patch.object(norms, "CLOSURE_TOL", 1e-15):
             boundary_enforce(surf, newton, omega0, tol=1e-10, z0=z0)
         assert np.abs(closed.phi[nb + 1] - surf.phi[nb + 1]).max() <= 1e-14
@@ -378,8 +378,8 @@ class TestRun:
         assert len(trace.records) >= 1
 
     def test_blow_up_is_caught_by_the_step_size_guard(self):
-        # forward Euler at 2000 times the explicit bound: the first step moves
-        # phi by more than 1, far below the |phi| > 20 guard
+        # forward Euler at about 2000 times the explicit bound: the first step
+        # moves phi by more than 1 while max |phi| stays under the |phi| > 20 guard
         cfg = FlowConfig(norm=SPHERE, omega0=0.0, n_beta=32, n_lambda=64,
                          t_end=1.0, dt_override=0.5)
         with warnings.catch_warnings():
