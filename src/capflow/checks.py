@@ -24,6 +24,14 @@ from .surface import (
 )
 from .wulff import CapillaryWulffShape, anchor_vector
 
+# the n = 2 batteries' grid (n_beta, n_lambda) and ratio-chain orders; the
+# n = 3 battery's contact parameter, grid (n_beta, n_lambda) and orders
+BATTERY_GRID_N2 = (48, 96)
+RATIO_KS_N2 = (1,)
+OMEGA0_N3 = -0.5
+BATTERY_GRID_N3 = (16, 32)
+RATIO_KS_N3 = (1, 2)
+
 
 def _battery(norm, omega0: float, grid: HalfSphereGrid, members=()):
     """Bundles of the unit model cap and of each (scale, epsilon, seed) member.
@@ -73,10 +81,10 @@ CAP_BATTERY = (
 )
 
 
-def star_battery_n2(norm, omega0: float, n_beta: int = 48, n_lambda: int = 96):
+def star_battery_n2(norm, omega0: float):
     """Five star-shaped capillary surfaces over the model cap, as bundles."""
     members = ((1.0, 0.0, 0), (0.7, 0.0, 0), (1.0, 0.08, 3), (1.0, 0.15, 7), (1.3, 0.1, 11))
-    return _battery(norm, omega0, HalfSphereGrid(2, n_beta, n_lambda), members)[1]
+    return _battery(norm, omega0, HalfSphereGrid(2, *BATTERY_GRID_N2), members)[1]
 
 
 def isoperimetric_slacks(norm, omega0: float, bundles=None):
@@ -93,22 +101,21 @@ def isoperimetric_slacks(norm, omega0: float, bundles=None):
     ]
 
 
-def af_slacks_n2(norm, omega0: float, ks=(1,), n_beta: int = 48, n_lambda: int = 96):
+def af_slacks_n2(norm, omega0: float):
     """Higher-ratio chain slacks on a convex n = 2 battery."""
-    grid = HalfSphereGrid(2, n_beta, n_lambda)
-    unit, bundles = _battery(
-        norm, omega0, grid, ((0.8, 0.0, 0), (1.25, 0.0, 0), (1.0, 0.03, 5))
-    )
+    unit, bundles = _battery(norm, omega0, HalfSphereGrid(2, *BATTERY_GRID_N2),
+                             ((0.8, 0.0, 0), (1.25, 0.0, 0), (1.0, 0.03, 5)))
     if any(float(b.kappaF.min()) <= 0.0 for b in bundles):
         raise FlowError("battery surface is not convex")
-    return _ratio_chain(unit, bundles, ks)
+    return _ratio_chain(unit, bundles, RATIO_KS_N2)
 
 
-def af_slacks_n3(omega0: float = -0.5, ks=(1, 2), sizes=(16, 32, 32)):
+def af_slacks_n3():
     """Same chain on a coarse n = 3 convex battery (round norm, d = 4)."""
-    grid = HalfSphereGrid(3, sizes[0], sizes[1], sizes[2])
     members = ((0.8, 0.0, 0), (1.3, 0.0, 0))
-    return _ratio_chain(*_battery(make_norm("sphere", dim=4), omega0, grid, members), ks)
+    battery = _battery(make_norm("sphere", dim=4), OMEGA0_N3,
+                       HalfSphereGrid(3, *BATTERY_GRID_N3), members)
+    return _ratio_chain(*battery, RATIO_KS_N3)
 
 
 # -- verify suites ---------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import CapflowError
 from .checks import SUITES
-from .condition import ConditionError, condition_check
+from .condition import CONDITION_SAMPLES, ConditionError, condition_check
 from .expr import ExprError
 from .flow import INITIAL_PRESETS, FlowConfig, FlowError, FlowTrace, run
 from .norms import NormError, make_norm
@@ -216,7 +216,7 @@ def cmd_check_condition(config_path: str) -> int:
     cfg = parse_config(config_path)
     norm = build_norm(cfg)
     omega0 = _require_omega0(cfg, norm, key="condition.omega0")
-    samples = cfg.get("condition.samples", 256)
+    samples = cfg.get("condition.samples", CONDITION_SAMPLES)
     out = _output_dir(cfg, config_path)
     try:
         report = condition_check(norm, omega0, slice_samples=samples)
@@ -248,15 +248,12 @@ def cmd_norm_info(config_path: str) -> int:
     cfg = parse_config(config_path)
     norm = build_norm(cfg)
     d = norm.d
-    e_up = np.zeros(d)
-    e_up[-1] = 1.0
-    f_up = norm.support(e_up).value
-    f_down = norm.support(-e_up).value
-    rep = norm.ellipticity_report(samples=500)
+    # the admissible interval is (-F(E_d), F(-E_d))
     lo, hi = admissible_interval(norm)
+    rep = norm.ellipticity_report(samples=500)
     print(f"norm = {norm.name}  dim = {d}")
-    print(f"F(E{d}) = {f_up:.9g}")
-    print(f"F(-E{d}) = {f_down:.9g}")
+    print(f"F(E{d}) = {-lo:.9g}")
+    print(f"F(-E{d}) = {hi:.9g}")
     print(f"ellipticity_min_eigenvalue = {rep['min_eigenvalue']:.6g}")
     print(f"near_degenerate = {str(rep['near_degenerate']).lower()}")
     print(f"admissible_omega0 = ({lo:.9g}, {hi:.9g})")

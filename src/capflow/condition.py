@@ -15,10 +15,14 @@ import numpy as np
 
 from . import CapflowError
 from .norms import Norm, fibonacci_sphere
-from .wulff import TranslatedNorm, WulffError, ball_slice_points, vertical
+from .wulff import TranslatedNorm, WulffError, ball_slice_points, plane_directions, vertical
 
 TOL_CONDITION = 1e-6
 TOL_DEGENERATE = 1e-8
+# slice samples of condition_check, and of check-condition without condition.samples
+CONDITION_SAMPLES = 256
+# scan_max_omega bisects until its bracket is this narrow
+TOL_OMEGA = 1e-3
 
 
 class ConditionError(ValueError, CapflowError):
@@ -53,16 +57,6 @@ class ConditionReport:
     degenerate_count: int = 0
 
 
-def _plane_dirs(d: int, angles, second_angles=None) -> np.ndarray:
-    """Horizontal unit directions from planar angles, shape (N, d)."""
-    a = np.atleast_1d(np.asarray(angles, dtype=float))
-    if d == 3:
-        return np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1)
-    b = np.full_like(a, 0.5 * np.pi) if second_angles is None else np.atleast_1d(second_angles)
-    sb = np.sin(b)
-    return np.stack([sb * np.cos(a), sb * np.sin(a), np.cos(b), np.zeros_like(a)], axis=1)
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", a, b)[:, None]
 
@@ -74,7 +68,9 @@ def slice_frames(
 
     Returns the frame, whose fields all carry a leading sample axis, and the
     metric G (N, d, d) and third-order tensor Q (N, d, d, d) at the slice
-    points, both from one order-3 jet evaluation.
+    points, both from one order-3 jet evaluation.  A slice point z is the
+    Cahn-Hoffman point of its own normal nu, so F(nu) = <nu, z> / gauge(z)
+    and the maximizer is z / gauge(z): no dual solve.
     """
     n, d = plane_dirs.shape
     try:
@@ -114,9 +110,8 @@ def slice_frames(
         raise ConditionError("degenerate co-normal")
     mu /= nrm
     mu[mu[:, -1] > 0] *= -1.0
-    f_val, zmax, _, ok = norm.support_many(nu, z0=z / np.maximum(jets.val, 1e-300)[:, None])
-    if not np.all(ok):
-        raise ConditionError("dual solve failed at slice point")
+    zmax = z / jets.val[:, None]
+    f_val = np.einsum("ni,ni->n", nu, zmax)
     af_mu = np.einsum("nij,nj->ni", norm.support_hessian_many(nu, maximizers=zmax), mu)
     g_mat = norm.metric_G_many(z, jets=jets)
     deg = np.einsum("ni,nij,nj->n", af_mu, g_mat, af_mu) < TOL_DEGENERATE**2
@@ -124,31 +119,29 @@ def slice_frames(
     return frame, g_mat, norm.tensor_Q_many(z, jets=jets)
 
 
-def slice_frame(norm: Norm, omega0: float, angle, second_angle: float | None = None) -> SliceFrame:
+def slice_frame(norm: Norm, omega0: float, angle) -> SliceFrame:
     """Slice point, outward normal, outward co-normal, and slice tangents.
 
     The co-normal is tangent to the ball boundary, orthogonal to the slice,
     and oriented downward (negative vertical component), pointing out of the
-    region of the ball above the contact plane.
+    region of the ball above the contact plane.  The slice point lies along
+    (cos angle, sin angle, 0, ...).
     """
-    fr, _, _ = slice_frames(norm, omega0, _plane_dirs(norm.d, angle, second_angle))
+    fr, _, _ = slice_frames(norm, omega0, plane_directions(norm.d, angle))
     return SliceFrame(
         fr.z[0], fr.nu[0], fr.mu[0], fr.tangents[0], fr.af_mu[0],
         float(fr.f_of_nu[0]), bool(fr.degenerate[0]),
     )
 
 
-def condition_margins(omega0: float, frame: SliceFrame, g_mat, q_ten, y_vecs=None):
+def condition_margins(omega0: float, frame: SliceFrame, g_mat, q_ten):
     """Margins of the admissibility inequality at one frame or a batch.
 
     g_mat and q_ten are the metric and third-order tensor at the frame's
-    slice points, with the frame's leading axes.  Without y_vecs the slice
-    tangent is used in d = 3, and the minimum over a 32-direction tangent
-    sweep in d = 4.
+    slice points, with the frame's leading axes.  The slice tangent is used
+    in d = 3, and the minimum over a 32-direction tangent sweep in d = 4.
     """
-    if y_vecs is not None:
-        ys = np.asarray(y_vecs, dtype=float)[..., None, :]
-    elif frame.tangents.shape[-2] == 1:
+    if frame.tangents.shape[-2] == 1:
         ys = frame.tangents
     else:
         sweep = np.linspace(0.0, np.pi, 32, endpoint=False)[:, None]
@@ -160,7 +153,7 @@ def condition_margins(omega0: float, frame: SliceFrame, g_mat, q_ten, y_vecs=Non
     return (q_val * scale / g_val).min(axis=-1) - omega0
 
 
-def condition_margin(norm: Norm, omega0: float, frame: SliceFrame, y_vec=None) -> float:
+def condition_margin(norm: Norm, omega0: float, frame: SliceFrame) -> float:
     """Margin of the admissibility inequality at one frame.
 
     Positive means the inequality holds strictly at this sample.  For d = 4
@@ -170,16 +163,16 @@ def condition_margin(norm: Norm, omega0: float, frame: SliceFrame, y_vec=None) -
     jets = norm.gauge_jets(zs, order=3)
     g_mat = norm.metric_G_many(zs, jets=jets)[0]
     q_ten = norm.tensor_Q_many(zs, jets=jets)[0]
-    return float(condition_margins(omega0, frame, g_mat, q_ten, y_vec))
+    return float(condition_margins(omega0, frame, g_mat, q_ten))
 
 
-def condition_margin_translated(tn: TranslatedNorm, frame: SliceFrame, y_vec=None) -> float:
+def condition_margin_translated(tn: TranslatedNorm, frame: SliceFrame) -> float:
     """Translated-ball form of the margin: minus the transferred third-order
-    tensor paired with (Y, Y, A_F(nu) mu).
+    tensor paired with (Y, Y, A_F(nu) mu), Y the first slice tangent.
 
     Agrees in sign with the original margin up to a positive factor.
     """
-    y = np.asarray(y_vec, dtype=float) if y_vec is not None else frame.tangents[0]
+    y = frame.tangents[0]
     _, q_t = tn.transfer_G_Q_many(
         frame.z[None, :], y[None, :], y[None, :], frame.af_mu[None, :]
     )
@@ -189,8 +182,7 @@ def condition_margin_translated(tn: TranslatedNorm, frame: SliceFrame, y_vec=Non
 def condition_check(
     norm: Norm,
     omega0: float,
-    slice_samples: int = 512,
-    tol: float = TOL_CONDITION,
+    slice_samples: int = CONDITION_SAMPLES,
     translated: bool = True,
 ) -> ConditionReport:
     """Sampled check of the admissibility inequality over the whole slice."""
@@ -203,7 +195,7 @@ def condition_check(
             tn = None
     if norm.d == 3:
         angles = np.linspace(0.0, 2.0 * np.pi, slice_samples, endpoint=False)
-        plane_dirs = _plane_dirs(3, angles)
+        plane_dirs = plane_directions(3, angles)
     else:
         plane_dirs = np.pad(fibonacci_sphere(slice_samples), ((0, 0), (0, 1)))
     fr, g_mat, q_ten = slice_frames(norm, omega0, plane_dirs)
@@ -217,18 +209,18 @@ def condition_check(
     if tn is not None:
         mt = -tn.transfer_G_Q_many(fr.z, y, y, fr.af_mu)[1]
         report.min_margin_translated = float(np.min(mt, initial=np.inf))
+        tol = TOL_CONDITION
         same = ((m >= -tol) & (mt >= -tol)) | ((m < -tol) & (mt < -tol)) \
             | (np.abs(m) <= tol) | (np.abs(mt) <= tol)
         report.both_forms_agree = bool(np.all(same))
-    report.satisfied = report.min_margin >= -tol
+    report.satisfied = report.min_margin >= -TOL_CONDITION
     return report
 
 
 def scan_max_omega(
     norm: Norm,
     bracket: tuple[float, float],
-    slice_samples: int = 256,
-    tol_omega: float = 1e-3,
+    slice_samples: int = CONDITION_SAMPLES,
 ) -> float:
     """Bisection for the supremum admissible contact parameter."""
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -244,7 +236,7 @@ def scan_max_omega(
         return hi
     if not ok_lo:
         return lo
-    while hi - lo > tol_omega:
+    while hi - lo > TOL_OMEGA:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

@@ -289,8 +289,8 @@ class Norm:
     def slice_maximizers(self, h: np.ndarray, omega0: float, z0: np.ndarray | None = None):
         """Rim maximizers on the unit ball's slice z_3 = -omega0 (d = 3).
 
-        h (2, N) holds the horizontal parts of the rim directions,
-        component-major.  The maximizer z of <h + t E_up, .> for the right t
+        h (2, N) holds the horizontal parts of the rim directions (or the
+        planar normals of the slice support table), component-major.  The maximizer z of <h + t E_up, .> for the right t
         lies on the slice, where the horizontal gauge gradient is parallel to
         h.  A 2x2 Newton per node solves gauge(z) = 1 and h_1 d_2 gauge - h_2
         d_1 gauge = 0 for (z_1, z_2), from z0 (N, 3) or from the slice points

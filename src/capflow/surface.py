@@ -31,12 +31,15 @@ class HalfSphereGrid:
     it; lambda periodic.  Ring quadrature weights are exact cell integrals
     of sin(beta), so the quadrature of 1 is exactly 2*pi.
 
-    n = 3: cell-centered lattice (beta, lam1, lam2) used for interior
-    integrals only.
+    n = 3: cell-centered lattice (beta, lam1, lam2), n_lambda points in each
+    lambda, used for interior integrals only.
+
+    The orthonormal sphere frame (u, e1, ..., e_n), u the unit direction, is
+    built once here: component-major (d, nodes) arrays over rings 1..n_beta
+    for n = 2, node-major u (nodes, 4) and tangents (nodes, 3, 4) for n = 3.
     """
 
-    def __init__(self, n: int = 2, n_beta: int = 64, n_lambda: int = 128,
-                 n_lambda2: int | None = None):
+    def __init__(self, n: int = 2, n_beta: int = 64, n_lambda: int = 128):
         if n not in (2, 3):
             raise SurfaceError("intrinsic dimension must be 2 or 3")
         if n_beta < 8 or n_lambda < 8:
@@ -70,36 +73,31 @@ class HalfSphereGrid:
             m_max = np.maximum(2, (np.pi * sin_r / self.dbeta).astype(int))
             self.polar_mask = np.arange(n_lambda // 2 + 1) > m_max[:, None]
         else:
-            self.n_lambda2 = n_lambda2 if n_lambda2 is not None else n_lambda
             self.dbeta = 0.5 * np.pi / n_beta
             self.dlam1 = np.pi / n_lambda
-            self.dlam2 = 2.0 * np.pi / self.n_lambda2
+            self.dlam2 = 2.0 * np.pi / n_lambda
             self.betas = self.dbeta * (np.arange(n_beta) + 0.5)
             self.lam1 = self.dlam1 * (np.arange(n_lambda) + 0.5)
-            self.lam2 = self.dlam2 * np.arange(self.n_lambda2)
+            self.lam2 = self.dlam2 * np.arange(n_lambda)
+            sb, cb = np.sin(self.betas)[:, None, None], np.cos(self.betas)[:, None, None]
+            s1, c1 = np.sin(self.lam1)[None, :, None], np.cos(self.lam1)[None, :, None]
+            s2, c2 = np.sin(self.lam2)[None, None, :], np.cos(self.lam2)[None, None, :]
+            zero = np.zeros((n_beta, n_lambda, n_lambda))
+            u, e1, e2, e3 = (
+                np.stack([w + zero, x + zero, y + zero, z + zero], axis=-1).reshape(-1, 4)
+                for w, x, y, z in ((sb * s1 * c2, sb * s1 * s2, sb * c1, cb),
+                                   (cb * s1 * c2, cb * s1 * s2, cb * c1, -sb),
+                                   (c1 * c2, c1 * s2, -s1, 0.0), (-s2, c2, 0.0, 0.0)))
+            self.frame_u, self.frame_tangents = u, np.stack([e1, e2, e3], axis=-2)
 
     # -- directions --------------------------------------------------------
 
     def directions(self) -> np.ndarray:
-        """Unit vectors at every lattice node (no ghost)."""
+        """Unit vectors at every lattice node (no ghost); the n = 2 pole row is E_up."""
         if self.n == 2:
-            b = self.betas[:, None]
-            l = self.lambdas[None, :]
-            return np.stack(
-                [np.sin(b) * np.cos(l) + 0 * l,
-                 np.sin(b) * np.sin(l) + 0 * l,
-                 np.cos(b) + 0 * l], axis=-1)
-        b = self.betas[:, None, None]
-        l1 = self.lam1[None, :, None]
-        l2 = self.lam2[None, None, :]
-        sb, cb = np.sin(b), np.cos(b)
-        s1, c1 = np.sin(l1), np.cos(l1)
-        zero = np.zeros((self.n_beta, self.n_lambda, self.n_lambda2))
-        return np.stack(
-            [sb * s1 * np.cos(l2) + zero,
-             sb * s1 * np.sin(l2) + zero,
-             sb * c1 + zero,
-             cb + zero], axis=-1)
+            pole = np.broadcast_to([0.0, 0.0, 1.0], (1, self.n_lambda, 3))
+            return np.concatenate((pole, self.frame_u.T.reshape(self.n_beta, self.n_lambda, 3)))
+        return self.frame_u.reshape(self.n_beta, self.n_lambda, self.n_lambda, 4)
 
     def quad(self, field: np.ndarray, pole_value: float | None = None) -> float:
         """Integral over the half-sphere of a nodal field.
@@ -133,7 +131,7 @@ class GraphSurface:
         if grid.n == 2:
             expect = (grid.n_beta + 2, grid.n_lambda)
         else:
-            expect = (grid.n_beta, grid.n_lambda, grid.n_lambda2)
+            expect = (grid.n_beta, grid.n_lambda, grid.n_lambda)
         if self.phi.shape != expect:
             raise SurfaceError(f"phi shape {self.phi.shape} != {expect}")
         if not np.all(np.isfinite(self.phi)):
@@ -335,19 +333,9 @@ def _frame_data_n3(surface: GraphSurface):
     hess[..., 1, 1] = H11c / s2f**2
     hess[..., 1, 2] = hess[..., 2, 1] = H12c / (s2f * s3f)
     hess[..., 2, 2] = H22c / s3f**2
-    l2 = grid.lam2[None, None, :]
-    zero = np.zeros(phi.shape)
-    u = np.stack([sb * s1 * np.cos(l2) + zero, sb * s1 * np.sin(l2) + zero,
-                  sb * c1 + zero, cb + zero], axis=-1)
-    e1 = np.stack([cb * s1 * np.cos(l2) + zero, cb * s1 * np.sin(l2) + zero,
-                   cb * c1 + zero, -sb + zero], axis=-1)
-    e2 = np.stack([c1 * np.cos(l2) + zero, c1 * np.sin(l2) + zero,
-                   -s1 + zero, zero], axis=-1)
-    e3 = np.stack([-np.sin(l2) + zero, np.cos(l2) + zero, zero, zero], axis=-1)
-    frame = np.stack([e1, e2, e3], axis=-2)
     # flattened over the nodes, as the geometry bundle stores them
     return (phi.shape, np.exp(phi).ravel(), f.reshape(-1, 3), hess.reshape(-1, 3, 3),
-            u.reshape(-1, 4), frame.reshape(-1, 3, 4))
+            grid.frame_u, grid.frame_tangents)
 
 
 def _metric_times(g: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -72,6 +72,14 @@ def anchor_vector(norm: Norm, omega0: float) -> AnchorVector:
     return AnchorVector(e_f, float(omega0))
 
 
+def plane_directions(d: int, angles) -> np.ndarray:
+    """Horizontal unit directions (cos a, sin a, 0, ...) from planar angles, (N, d)."""
+    a = np.atleast_1d(np.asarray(angles, dtype=float))
+    dirs = np.zeros((a.size, d))
+    dirs[:, 0], dirs[:, 1] = np.cos(a), np.sin(a)
+    return dirs
+
+
 def ball_slice_points(norm: Norm, omega0: float, plane_dirs: np.ndarray) -> np.ndarray:
     """Points of the unit ball at height -omega0 along horizontal unit directions."""
     offset = np.zeros(norm.d)
@@ -184,21 +192,22 @@ class TranslatedNorm:
         """Base-ball points at height -omega0, one per planar angle (d = 3)."""
         if self.base.d != 3:
             raise WulffError("slice_points is for ambient dimension 3")
-        angles = np.asarray(angles, dtype=float)
-        plane_dirs = np.stack(
-            [np.cos(angles), np.sin(angles), np.zeros(angles.size)], axis=1
-        )
-        return ball_slice_points(self.base, self.omega0, plane_dirs)
+        return ball_slice_points(self.base, self.omega0, plane_directions(3, angles))
 
-    def slice_support_table(self, samples: int = 512) -> np.ndarray:
-        """Support values at uniformly spaced planar normal angles (d = 3)."""
+    def slice_support_table(self, samples: int) -> np.ndarray:
+        """Support values at uniformly spaced planar normal angles (d = 3).
+
+        The slice point with outward planar normal n is the rim closure's
+        maximizer z (Norm.slice_maximizers), so the support at n is <n, z + eta>.
+        """
+        if self.base.d != 3:
+            raise WulffError("slice_support_table is for ambient dimension 3")
         thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        # support at angle theta needs the slice point whose outward planar
-        # normal is (cos t, sin t); dense sweep once, then per-angle max
-        angles = np.linspace(0.0, 2.0 * np.pi, 4 * samples, endpoint=False)
-        pts = self.slice_points(angles) + self.eta
-        normals = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        return (normals @ pts[:, :2].T).max(axis=1)
+        h = np.stack([np.cos(thetas), np.sin(thetas)])
+        z, c = self.base.slice_maximizers(h, self.omega0)
+        if not np.all(h[0] * c[1] + h[1] * c[2] > 0.0):
+            raise WulffError("boundary slice has no point with this planar normal")
+        return (h * (z[:, :2].T + self.eta[:2, None])).sum(axis=0)
 
 
 def translated_metric_Q(tn: TranslatedNorm, z, x_vec, y_vec, z_vec) -> tuple[float, float]:

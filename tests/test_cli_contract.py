@@ -13,6 +13,8 @@ import pytest
 
 from capflow import checks, cli
 from capflow.cli import main
+from capflow.condition import CONDITION_SAMPLES
+from capflow.flow import FlowConfig
 from capflow.norms import QUARTIC_A2_TEXT, DualSolveError, Norm, make_norm
 from capflow.wulff import admissible_interval
 
@@ -214,15 +216,39 @@ def test_every_verify_suite_passes(capsys, suite):
     assert out.startswith("PASS") and "FAIL" not in out
 
 
-def test_readme_config_table_lists_every_key():
+def readme_config_defaults() -> dict:
+    """README config table: key -> its default cell text, in table order.
+
+    A row that lists several keys lists their defaults in the same order,
+    comma separated."""
     lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index("| key | default | meaning |") + 2
-    keys = []
+    out = {}
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        keys += re.findall(r"`([^`]+)`", line.split("|")[1])
-    assert tuple(keys) == tuple(cli.CONFIG_KEYS)
+        cells = line.split("|")
+        keys = re.findall(r"`([^`]+)`", cells[1])
+        defaults = [d.strip().strip("`") for d in cells[2].split(",")] if len(keys) > 1 \
+            else [cells[2].strip().strip("`")]
+        assert len(defaults) == len(keys), line
+        out.update(zip(keys, defaults))
+    return out
+
+
+def test_readme_config_table_lists_every_key():
+    assert tuple(readme_config_defaults()) == tuple(cli.CONFIG_KEYS)
+
+
+def test_readme_config_defaults_match_the_code():
+    documented = readme_config_defaults()
+    fields = FlowConfig.__dataclass_fields__
+    for key, (kind, field) in cli.CONFIG_KEYS.items():
+        if field is not None:
+            text = documented[key]
+            value = None if text == "—" else kind(text)
+            assert value == fields[field].default, key
+    assert int(documented["condition.samples"]) == CONDITION_SAMPLES
 
 
 def test_readme_verify_suites_line_lists_every_suite():

@@ -19,6 +19,7 @@ SPHERE = make_norm("sphere")
 A2 = make_norm("quartic_a2")
 A3 = make_norm("quartic_a3", [0.3])
 SPHERE4 = make_norm("sphere", dim=4)
+CUSTOM_A2 = make_norm("custom", f0_expr="((x^2+y^2+z^2)*(x^2+y^2)+z^4)^(1/4)")
 QUARTIC4 = make_norm(
     "custom", f0_expr="((x^2+y^2+z^2+w^2)*(x^2+y^2+z^2)+w^4)^(1/4)", dim=4
 )
@@ -150,7 +151,8 @@ class TestBatchedCheck:
 
     @pytest.mark.parametrize(
         "norm, omega0",
-        [(A2, -0.3), (A2, 0.35), (A3, 0.3), (SPHERE, 0.2), (SPHERE4, -0.3), (QUARTIC4, -0.3)],
+        [(A2, -0.3), (A2, 0.35), (A3, 0.3), (SPHERE, 0.2), (SPHERE4, -0.3), (QUARTIC4, -0.3),
+         (CUSTOM_A2, -0.3)],
     )
     def test_frame_invariants(self, norm, omega0):
         rng = np.random.default_rng(11)
@@ -165,6 +167,13 @@ class TestBatchedCheck:
         assert np.abs(np.einsum("ni,nmi->nm", fr.nu, fr.tangents)).max() <= 1e-12
         assert np.abs(np.einsum("ni,nmi->nm", fr.mu, fr.tangents)).max() <= 1e-12
         assert np.all(fr.mu[:, -1] < 0.0)
+        # a slice point is the Cahn-Hoffman point of its own normal, which
+        # stands in for a dual solve at the normals; the solve here runs to
+        # round-off, since at DUAL_TOL its values carry ~1e-14 of Newton error
+        f_val, zmax, _, ok = norm.support_many(fr.nu, tol=1e-15)
+        assert np.all(ok)
+        np.testing.assert_allclose(fr.f_of_nu, f_val, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fr.z / norm.f0_many(fr.z)[:, None], zmax, rtol=0, atol=1e-14)
 
     def test_one_row_view_matches_batch(self):
         angles = np.array([0.4, 2.5])

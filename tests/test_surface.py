@@ -48,7 +48,7 @@ class TestGrid:
         # cell-centered midpoint rule: second order in the polar spacing
         errs = []
         for nb in (8, 16):
-            grid = HalfSphereGrid(3, nb, 2 * nb, 2 * nb)
+            grid = HalfSphereGrid(3, nb, 2 * nb)
             ones = np.ones((nb, 2 * nb, 2 * nb))
             # half the area of the unit 3-sphere
             errs.append(abs(grid.quad(ones) - np.pi**2))
@@ -68,7 +68,7 @@ class TestGrid:
             HalfSphereGrid(2, 4, 64)
 
     def test_directions_unit(self):
-        for grid in (HalfSphereGrid(2, 16, 32), HalfSphereGrid(3, 8, 16, 16)):
+        for grid in (HalfSphereGrid(2, 16, 32), HalfSphereGrid(3, 8, 16)):
             d = grid.directions()
             assert np.allclose(np.linalg.norm(d, axis=-1), 1.0, atol=1e-14)
 
@@ -101,7 +101,7 @@ class TestHemisphere:
 
     def test_n3_hemisphere(self):
         norm4 = make_norm("sphere", dim=4)
-        grid = HalfSphereGrid(3, 8, 16, 16)
+        grid = HalfSphereGrid(3, 8, 16)
         anchor = anchor_vector(norm4, 0.0)
         shape = CapillaryWulffShape(norm4, 1.0, 0.0, anchor)
         b = geometry(GraphSurface.from_wulff(grid, shape), norm4, 0.0, anchor)

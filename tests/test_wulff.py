@@ -147,6 +147,31 @@ class TestTranslatedNorm:
         # the quartic profile is rotationally symmetric about the axis
         assert table.max() - table.min() < 1e-6
 
+    @pytest.mark.parametrize("axes", [[4.0, 1.0, 2.0], [1.0, 3.0, 1.5]])
+    @pytest.mark.parametrize("omega0", [-0.3, 0.2])
+    @pytest.mark.parametrize("samples", [64, 1024])
+    def test_slice_support_matches_ellipse(self, axes, omega0, samples):
+        # the slice x^2/a1 + y^2/a2 <= k, k = 1 - omega0^2/a3, has support
+        # sqrt(k (a1 cos^2 t + a2 sin^2 t)); eta shifts it by <eta, n>
+        tn = TranslatedNorm(make_norm("ellipsoid", axes), omega0)
+        t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        k = 1.0 - omega0**2 / axes[2]
+        exact = np.sqrt(k * (axes[0] * np.cos(t) ** 2 + axes[1] * np.sin(t) ** 2)) \
+            + tn.eta[0] * np.cos(t) + tn.eta[1] * np.sin(t)
+        np.testing.assert_allclose(tn.slice_support_table(samples), exact, rtol=0, atol=1e-12)
+
+    def test_slice_support_bounds_a_dense_sweep(self):
+        # quartic_a2_prime goes through the generic Newton closure; the max of
+        # <n, p> over a dense sweep of slice points p is a lower bound that
+        # misses the support by O(spacing^2), and meets it to round-off where
+        # a sweep point is the maximizer (on the symmetry axes)
+        tn = TranslatedNorm(make_norm("quartic_a2_prime"), -0.3)
+        t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        pts = tn.slice_points(np.linspace(0.0, 2.0 * np.pi, 65536, endpoint=False)) + tn.eta
+        sweep = (np.stack([np.cos(t), np.sin(t)], axis=1) @ pts[:, :2].T).max(axis=1)
+        gap = tn.slice_support_table(64) - sweep
+        assert gap.min() >= -1e-15 and gap.max() <= 1e-8
+
     def test_origin_must_stay_interior(self):
         anchor = AnchorVector(np.array([0.0, 0.0, 1.0]), -2.0)
         with pytest.raises(WulffError):
