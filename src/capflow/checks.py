@@ -12,7 +12,7 @@ import numpy as np
 
 from .condition import condition_check
 from .flow import FlowConfig, FlowError, boundary_enforce, perturbation_field, run
-from .norms import fibonacci_sphere, make_norm
+from .norms import QUARTIC_A2_TEXT, fibonacci_sphere, make_norm
 from .surface import (
     GraphSurface,
     HalfSphereGrid,
@@ -127,6 +127,10 @@ def _duality_checks():
         ("sphere", make_norm("sphere"), 1e-12),
         ("ellipsoid(4,1,1)", make_norm("ellipsoid", [4.0, 1.0, 1.0]), 1e-7),
         ("quartic_a2", make_norm("quartic_a2"), 1e-7),
+        # the builtin gauges all have a closed-form dual; these two rows keep
+        # the generic Newton and the shifted gauge's dual in the suite
+        ("custom quartic_a2", make_norm("custom", f0_expr=QUARTIC_A2_TEXT), 1e-7),
+        ("quartic_a3 [0.3]", make_norm("quartic_a3", [0.3]), 1e-7),
     ):
         rep = norm.verify_duality(samples=100)
         worst = max(

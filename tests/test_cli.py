@@ -237,7 +237,8 @@ class TestVerify:
     def test_duality_suite_passes(self, capsys):
         assert main(["verify", "duality"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 3 and "FAIL" not in out
+        # sphere, ellipsoid, quartic_a2, the custom quartic and quartic_a3
+        assert out.count("PASS") == 5 and "FAIL" not in out
 
     def test_appendix_suite_passes(self, capsys):
         assert main(["verify", "appendix-a"]) == 0

@@ -27,7 +27,7 @@ from capflow.flow import (
 )
 from capflow.checks import static_cap_bundle
 from capflow import norms
-from capflow.norms import Norm, QuadraticNorm, make_norm
+from capflow.norms import QUARTIC_A2_TEXT, Norm, QuadraticNorm, make_norm
 from capflow.surface import GraphSurface, HalfSphereGrid, enclosed_volume, geometry
 from capflow.wulff import CapillaryWulffShape, anchor_vector
 
@@ -129,12 +129,14 @@ class TestBoundaryClosure:
 
     def test_outer_half_of_the_slice_raises(self):
         # a warm start on the far side of the slice finds the point whose
-        # gauge gradient opposes the rim direction
+        # gauge gradient opposes the rim direction; the quartic_a2 gauge given
+        # as an expression, since quartic_a2's own closure is closed-form
+        norm = make_norm("custom", f0_expr=QUARTIC_A2_TEXT)
         grid = HalfSphereGrid(2, 16, 32)
-        surf = GraphSurface.from_wulff(grid, CapillaryWulffShape(A2, 1.0, -0.3))
-        z0 = -geometry(surf, A2, -0.3).maximizers[-grid.n_lambda:]
+        surf = GraphSurface.from_wulff(grid, CapillaryWulffShape(norm, 1.0, -0.3))
+        z0 = -geometry(surf, norm, -0.3).maximizers[-grid.n_lambda:]
         with pytest.raises(FlowError, match="rim normal"):
-            boundary_enforce(surf, A2, -0.3, z0=z0)
+            boundary_enforce(surf, norm, -0.3, z0=z0)
 
 
 def rotated_quadric() -> QuadraticNorm:

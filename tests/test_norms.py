@@ -1,16 +1,20 @@
 """Dual-gauge machinery: support solves, derived tensors, builtin catalogue."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from capflow import expr as expr_mod
+from capflow import expr as expr_mod, norms as norms_mod
 from capflow.norms import (
     DUAL_MAX_ITER,
     DUAL_TOL,
     DualSolveError,
     ExpressionNorm,
+    FlowError,
+    Norm,
     NormError,
     QUARTIC_A2_TEXT,
     QuarticGaugeNorm,
@@ -440,7 +444,8 @@ class TestFullArrayLoop:
         norm = SOLVE_NORMS[kind]
         d = norm.d
         xs = length * np.array([direction(a, d) for a, _, _ in rows])
-        _, z, _, ok, jets = norm.support_many(xs, return_jets=True)
+        # the generic Newton, which the quartic norms' closed form bypasses
+        _, z, _, ok, jets = Norm.support_many(norm, xs, return_jets=True)
         assert np.all(ok)
         z0 = z.copy()
         for i, (_, start, shift) in enumerate(rows):
@@ -453,7 +458,7 @@ class TestFullArrayLoop:
         jets0[:, at_max] = jets[:, at_max]
         nan_row = np.array([start == "nan" for _, start, _ in rows])
         xs[nan_row] = np.nan
-        got = norm.support_many(xs, z0=z0, return_jets=True, jets0=jets0)
+        got = Norm.support_many(norm, xs, z0=z0, return_jets=True, jets0=jets0)
         want = gather_support(norm, xs, z0, jets0)
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=True)
@@ -480,7 +485,7 @@ class TestFullArrayLoop:
         z0 = xs * 1.03
         jets0 = norm.gauge_components(np.ascontiguousarray(z0.T))
         jets0[:, 1] = np.nan
-        got = norm.support_many(xs, z0=z0, return_jets=True, jets0=jets0)
+        got = Norm.support_many(norm, xs, z0=z0, return_jets=True, jets0=jets0)
         assert got[3].tolist() == [True, False, True]
         for a, b in zip(got, gather_support(norm, xs, z0, jets0)):
             assert np.array_equal(a, b, equal_nan=True)
@@ -533,3 +538,113 @@ class TestComponentJets:
         assert np.abs(comps[0] - 1.0).max() <= tol
         assert np.linalg.norm(xs - s[:, None] * comps[1:5].T, axis=1).max() <= tol
         assert np.all(np.abs(s - np.einsum("ni,ni->n", xs, z)) <= tol * (1.0 + s))
+
+
+# -- closed-form duality of the builtin quartic and shifted gauges --------------
+
+QUARTIC_NORMS = {1.0: A2, 2.0: SOLVE_NORMS["quartic_a2_prime"]}
+A3 = SOLVE_NORMS["quartic_a3"]
+SLICE_NORMS = {"quartic_a2": A2, "quartic_a2_prime": QUARTIC_NORMS[2.0], "quartic_a3": A3}
+# the generic Newton run to round-off is the reference; the closed forms agree
+# with it to CLOSED_FORM_TOL in values, maximizers and jets
+CLOSED_FORM_TOL = 1e-13
+
+
+def cubic_branch_direction(c, azimuth, sign):
+    """A direction with |nu_z| = nu_r = sqrt(nu_x^2 + nu_y^2 / c), where the
+    closed form swaps u and 1/u."""
+    return np.array([np.cos(azimuth), np.sqrt(c) * np.sin(azimuth), sign])
+
+
+def assert_matches_generic(norm, xs, return_jets=False):
+    got = norm.support_many(xs, return_jets=return_jets)
+    want = Norm.support_many(norm, xs, tol=1e-15, return_jets=return_jets)
+    assert np.all(got[3]) and np.all(want[3])
+    assert np.abs(got[0] - want[0]).max() <= CLOSED_FORM_TOL
+    assert np.abs(got[1] - want[1]).max() <= CLOSED_FORM_TOL
+    if return_jets:
+        assert np.abs(got[4] - want[4]).max() <= CLOSED_FORM_TOL
+    return got
+
+
+class TestClosedFormDuality:
+    @given(c=st.sampled_from(sorted(QUARTIC_NORMS)),
+           angles=st.lists(DIRECTION, min_size=1, max_size=8),
+           branch=st.lists(st.tuples(st.floats(0.0, 2.0 * np.pi), st.sampled_from([-1.0, 1.0]),
+                                     st.floats(-1e-9, 1e-9)), max_size=4),
+           length=st.floats(0.5, 4.0))
+    @settings(max_examples=80, deadline=None)
+    def test_quartic_support_matches_the_generic_newton(self, c, angles, branch, length):
+        dirs = [direction(a, 3) for a in angles]
+        # either side of |k| = 1 and on it
+        dirs += [cubic_branch_direction(c, a, sign) * (1.0, 1.0, 1.0 + eps)
+                 for a, sign, eps in branch]
+        xs = length * np.array(dirs)
+        s, z, _, _, jets = assert_matches_generic(QUARTIC_NORMS[c], xs, return_jets=True)
+        # the returned jets are the gauge jets at the maximizers
+        assert np.array_equal(jets, QUARTIC_NORMS[c].gauge_components(np.ascontiguousarray(z.T)))
+
+    @pytest.mark.parametrize("c", sorted(QUARTIC_NORMS))
+    def test_quartic_support_at_the_poles_horizon_and_branch_swap(self, c):
+        norm = QUARTIC_NORMS[c]
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -2.0]])
+        horizontal = np.array([[1.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.6, 0.8, 0.0]])
+        swap = np.array([cubic_branch_direction(c, a, sign)
+                         for a in (0.0, 0.7, np.pi / 2) for sign in (-1.0, 1.0)])
+        for xs in (poles, horizontal, swap):
+            assert_matches_generic(norm, xs, return_jets=True)
+        s, z, iterations, ok = norm.support_many(poles)
+        assert s.tolist() == [1.0, 2.0] and iterations == 0
+        assert z.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        # on a horizontal direction the maximizer lies in the plane z = 0
+        assert np.all(norm.support_many(horizontal)[1][:, 2] == 0.0)
+
+    @given(kind=st.sampled_from(sorted(SLICE_NORMS)), omega0=st.floats(-0.95, 0.95),
+           azimuths=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=1, max_size=16),
+           length=st.floats(0.01, 10.0))
+    @settings(max_examples=80, deadline=None)
+    def test_slice_matches_the_generic_closure(self, kind, omega0, azimuths, length):
+        norm = SLICE_NORMS[kind]
+        # the shifted ball's slice is the base slice at height -omega0 - eta_3
+        assume(abs(omega0 + (A3.eta[2] if norm is A3 else 0.0)) <= 0.95)
+        h = length * np.array([np.cos(azimuths), np.sin(azimuths)])
+        z, comps = norm.slice_maximizers(h, omega0)
+        # the generic closure leaves its last step, up to CLOSURE_TOL, unapplied
+        with mock.patch.object(norms_mod, "CLOSURE_TOL", 1e-15):
+            z_ref, comps_ref = Norm.slice_maximizers(norm, h, omega0)
+        assert np.abs(z - z_ref).max() <= CLOSED_FORM_TOL
+        assert np.abs(comps - comps_ref).max() <= CLOSED_FORM_TOL
+        assert np.abs(z[:, 2] + omega0).max() <= 1e-15
+        # on the slice, with the horizontal gradient along +h
+        assert np.abs(comps[0] - 1.0).max() <= 1e-15
+        assert np.all(h[0] * comps[1] + h[1] * comps[2] > 0.0)
+        assert np.abs(h[0] * comps[2] - h[1] * comps[1]).max() <= 1e-14 * length
+
+    @pytest.mark.parametrize("omega0", [1.0, -1.0, 1.5, np.nan])
+    def test_quartic_empty_slice_raises(self, omega0):
+        with pytest.raises(FlowError, match="empty boundary slice"):
+            A2.slice_maximizers(np.array([[1.0, 0.0], [0.0, 1.0]]), omega0)
+
+    @given(angles=st.lists(DIRECTION, min_size=1, max_size=8), length=st.floats(0.5, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_shifted_support_and_jets_match_the_generic_newton(self, angles, length):
+        xs = length * np.array([direction(a, 3) for a in angles])
+        s, z, _, _, jets = assert_matches_generic(A3, xs, return_jets=True)
+        # the base support plus <x, eta>, at the base maximizer plus eta
+        s_base, z_base, _, _ = A3.base.support_many(xs)
+        assert np.array_equal(s, s_base + xs @ A3.eta)
+        assert np.array_equal(z, z_base + A3.eta)
+        # the jets at t = 1 are the ray-root jets there
+        jet = A3.gauge_jets(z, order=2)
+        assert np.abs(jets - jet_components(jet)).max() <= CLOSED_FORM_TOL
+
+    @pytest.mark.parametrize("norm", [A2, QUARTIC_NORMS[2.0], A3], ids=lambda n: n.name)
+    def test_zero_direction_raises_and_nan_is_unconverged(self, norm):
+        with pytest.raises(NormError):
+            norm.support_many(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        xs = np.array([[0.3, 0.1, 0.9], [np.nan, 0.0, 1.0], [0.0, np.nan, np.nan], [1.0, 0.0, 0.0]])
+        s, z, _, ok, jets = norm.support_many(xs, return_jets=True)
+        assert ok.tolist() == [True, False, False, True]
+        want = norm.support_many(xs[ok], return_jets=True)
+        assert np.array_equal(s[ok], want[0]) and np.array_equal(z[ok], want[1])
+        assert np.array_equal(jets[:, ok], want[4])
