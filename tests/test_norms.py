@@ -13,7 +13,6 @@ from capflow.norms import (
     DUAL_TOL,
     DualSolveError,
     ExpressionNorm,
-    FlowError,
     Norm,
     NormError,
     QUARTIC_A2_TEXT,
@@ -309,7 +308,8 @@ class TestEliminatedSolve:
     def test_maximizer_identities_and_bordered_reference(self, kind, angles, length):
         norm = SOLVE_NORMS[kind]
         xs = length * np.array([direction(a, norm.d) for a in angles])
-        s, z, _, ok = norm.support_many(xs)
+        # the generic Newton, which the quartic norms' closed form bypasses
+        s, z, _, ok = Norm.support_many(norm, xs)
         assert np.all(ok)
         jets = norm.gauge_jets(z, order=2)
         # the solve stops once |(r_x, r_g)| <= DUAL_TOL * max(1, |x|)
@@ -619,11 +619,6 @@ class TestClosedFormDuality:
         assert np.abs(comps[0] - 1.0).max() <= 1e-15
         assert np.all(h[0] * comps[1] + h[1] * comps[2] > 0.0)
         assert np.abs(h[0] * comps[2] - h[1] * comps[1]).max() <= 1e-14 * length
-
-    @pytest.mark.parametrize("omega0", [1.0, -1.0, 1.5, np.nan])
-    def test_quartic_empty_slice_raises(self, omega0):
-        with pytest.raises(FlowError, match="empty boundary slice"):
-            A2.slice_maximizers(np.array([[1.0, 0.0], [0.0, 1.0]]), omega0)
 
     @given(angles=st.lists(DIRECTION, min_size=1, max_size=8), length=st.floats(0.5, 4.0))
     @settings(max_examples=40, deadline=None)
