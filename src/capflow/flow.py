@@ -8,12 +8,13 @@ the bundle's diffusion bound (stabilized semi-implicit stepping, Smereka
 2003), so dt scales with dbeta, not dbeta^2.  The ghost layer then closes
 the contact-angle relation at the boundary ring: the relation pins each rim
 maximizer to the unit ball's slice at height -omega0, where
-Norm.slice_maximizers finds it (in closed form for the builtin gauges, by a
-2x2 Newton per rim node for a custom one), and the ghost value follows from
-the gauge gradient at that point.  The implicit solve's per-mode inverse is
-built once per run by tridiagonal elimination.  A fixed dt_override takes
-A = 0: forward Euler, the reference explicit scheme; a step that moves phi by
-more than MAX_PHI_STEP ends the run as a blow-up.
+Norm.slice_maximizers finds it (in closed form for the quadric and quartic
+gauges, by a 2x2 Newton per rim node for a custom or shifted one), and the
+ghost value follows from the gauge gradient at that point.  The implicit
+solve's per-mode inverse is built once per run by tridiagonal elimination.
+A fixed dt_override takes A = 0: forward Euler, the reference explicit
+scheme; a step that moves phi by more than MAX_PHI_STEP ends the run as a
+blow-up.
 """
 
 from __future__ import annotations
@@ -172,12 +173,12 @@ def boundary_enforce(
     p_lambda e2 is horizontal and only p_beta depends on the ghost value.  The
     maximizer z of <w, .> lies on the unit ball's slice z_3 = -omega0, where
     the horizontal gauge gradient is parallel to h: norm.slice_maximizers
-    finds it (a closed form for the builtin gauges; for a custom gauge a 2x2
-    Newton per node from z0, the rim maximizers (n_lambda, 3) of a nearby
-    surface).  Then w = s Dgauge(z) with s = |h|^2 / <h, D_h gauge> gives
-    p_beta = s d_3 gauge.  One support_many at w (closed-form or, for a
-    custom gauge, a Newton from z) re-checks the contact residual
-    max |z_3 + omega0|, which must reach tol and is returned.
+    finds it (a closed form for the quadric and quartic gauges; for a custom
+    or shifted gauge a 2x2 Newton per node from z0, the rim maximizers
+    (n_lambda, 3) of a nearby surface).  Then w = s Dgauge(z) with
+    s = |h|^2 / <h, D_h gauge> gives p_beta = s d_3 gauge.  One support_many
+    at w (closed-form or, for a custom gauge, a Newton from z) re-checks the
+    contact residual max |z_3 + omega0|, which must reach tol and is returned.
     """
     grid = surface.grid
     if grid.n != 2:

@@ -7,10 +7,11 @@ between modules in one form only: the component-major array of
 ball and its maximizers (the Cahn-Hoffman points), and the rim maximizers on
 a horizontal slice of the ball; the squared-gauge Hessian metric; its
 third-derivative tensor; and the curvature matrix of the support function.
-The builtin gauges give the support and the rim maximizers in closed form
-(quadric and quartic gauges directly, shifted gauges from their base); a
-custom gauge takes the generic Newton solves, the support one eliminated
-through the metric and run on the component arrays.
+The builtin gauges give the support in closed form (quadric and quartic
+gauges directly, shifted gauges from their base), and the quadric and quartic
+gauges the rim maximizers too; a custom gauge takes the generic Newton solves,
+the support one eliminated through the metric and run on the component
+arrays, and a shifted gauge the generic rim closure.
 """
 
 from __future__ import annotations
@@ -295,8 +296,8 @@ class Norm:
     def slice_maximizers(self, h: np.ndarray, omega0: float, z0: np.ndarray | None = None):
         """Rim maximizers on the unit ball's slice z_3 = -omega0 (d = 3).
 
-        This is the generic closure, for custom gauges; every builtin gauge
-        overrides it by a closed form.
+        This is the generic closure, for custom and shifted gauges; the
+        quadric and quartic gauges override it by a closed form.
 
         h (2, N) holds the horizontal parts of the rim directions (or the
         planar normals of the slice support table), component-major.  The maximizer z of <h + t E_up, .> for the right t
@@ -620,32 +621,17 @@ class ShiftedGaugeNorm(Norm):
         """The unit ball is the base ball + eta, so the support is the base
         support plus <x, eta> and the maximizer the base maximizer plus eta.
         There the shifted gauge is 1 and y = z - eta is the base maximizer, so
-        the jets follow from the base jets with no ray roots.  A base solve
-        that takes z0 starts from z0 - eta; jets0 is unused."""
+        the jets follow from the base jets with no ray roots.  z0, tol and
+        jets0 are unused: the builtin base (QuarticGaugeNorm) is closed-form."""
         xs = np.asarray(xs, dtype=float)
-        z0 = None if z0 is None else np.asarray(z0, dtype=float) - self.eta
-        s, z, iterations, ok, *base_jets = self.base.support_many(
-            xs, z0=z0, tol=tol, return_jets=return_jets)
+        s, z, iterations, ok, *base_jets = self.base.support_many(xs, return_jets=return_jets)
         s = s + xs @ self.eta
         z = z + self.eta
         if not return_jets:
             return s, z, iterations, ok
-        return s, z, iterations, ok, self._unit_components(base_jets[0])
-
-    def slice_maximizers(self, h, omega0, z0=None):
-        """The slice of base ball + eta at height -omega0 is the base ball's
-        slice at height -omega0 - eta_3 moved by eta, and the shifted gauge's
-        horizontal gradient there is the base one over 1 + <Dgauge, eta> > 0:
-        the base rim maximizers plus eta, with jets as in support_many."""
-        z0 = None if z0 is None else np.asarray(z0, dtype=float) - self.eta
-        z, base_comps = self.base.slice_maximizers(h, omega0 + self.eta[2], z0)
-        return z + self.eta, self._unit_components(base_comps)
-
-    def _unit_components(self, base_comps: np.ndarray) -> np.ndarray:
-        """gauge_components at the points y + eta of the unit level set, from
-        the base gauge_components at y, where base_gauge(y) = 1."""
-        ones = np.ones(base_comps.shape[1])
-        return jet_components(self._shifted_jet(ones, components_jet(base_comps, self.d), 2))
+        ones = np.ones(xs.shape[0])
+        jet = self._shifted_jet(ones, components_jet(base_jets[0], self.d), 2)
+        return s, z, iterations, ok, jet_components(jet)
 
     def _shifted_jet(self, t: np.ndarray, base_jet: Jet, order: int) -> Jet:
         """Implicit differentiation of base_gauge(x - t eta) = t: the shifted
@@ -780,10 +766,14 @@ class QuarticGaugeNorm(Norm):
         maximizer is the point (nu_x, nu_y / c, nu_z A/B) scaled onto the unit
         level set, with A/B = (2 + u^2) / (1 + 2u^2)."""
         nx, ny, nz = np.asarray(xs, dtype=float).T
+        # by homogeneity from x / max|x_i|, as in f0: no fourth power of a
+        # huge or tiny direction overflows or underflows
+        scale = np.maximum(np.maximum(np.abs(nx), np.abs(ny)), np.abs(nz))
+        if np.any(scale == 0.0):
+            raise NormError("support direction must be nonzero")
+        nx, ny, nz = nx / scale, ny / scale, nz / scale
         ny_c = ny / self.c
         q = nx * nx + ny * ny_c
-        if np.any(q + nz * nz == 0.0):
-            raise NormError("support direction must be nonzero")
         nr = np.sqrt(q)
         swap = np.abs(nz) > nr
         with np.errstate(invalid="ignore"):
@@ -794,7 +784,7 @@ class QuarticGaugeNorm(Norm):
             zz = z3 * z3
             val = np.sqrt(np.sqrt((q + zz) * q + zz * zz))
             z = np.stack((nx / val, ny_c / val, z3 / val))
-            s = (q + nz * z3) / val
+            s = scale * (q + nz * z3) / val
         ok = np.isfinite(s)
         if not return_jets:
             return s, np.ascontiguousarray(z.T), 0, ok
