@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CapflowError
+from .expr import jet_gradients
 from .norms import Norm, fibonacci_sphere
 from .wulff import TranslatedNorm, WulffError, ball_slice_points, plane_directions, vertical
 
@@ -78,7 +79,8 @@ def slice_frames(
     except WulffError as exc:
         raise ConditionError("empty slice: contact height outside the ball") from exc
     jets = norm.gauge_jets(z, order=3)
-    nu = jets.grad / np.linalg.norm(jets.grad, axis=1, keepdims=True)
+    grad = jet_gradients(jets, d)
+    nu = grad / np.linalg.norm(grad, axis=1, keepdims=True)
     # slice tangents: orthogonal to both the vertical axis and the normal;
     # a vertical normal leaves the normal alone in the span
     up_perp = vertical(d) - nu[:, -1:] * nu
@@ -110,7 +112,7 @@ def slice_frames(
         raise ConditionError("degenerate co-normal")
     mu /= nrm
     mu[mu[:, -1] > 0] *= -1.0
-    zmax = z / jets.val[:, None]
+    zmax = z / jets[0][:, None]
     f_val = np.einsum("ni,ni->n", nu, zmax)
     af_mu = np.einsum("nij,nj->ni", norm.support_hessian_many(nu, maximizers=zmax), mu)
     g_mat = norm.metric_G_many(z, jets=jets)

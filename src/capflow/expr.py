@@ -2,15 +2,20 @@
 
 Expressions are scalar formulas in the ambient coordinates x, y, z (and w in
 dimension 4).  Evaluation propagates truncated Taylor data (value, gradient,
-Hessian, third-derivative tensor) through the syntax tree, so derivatives are
-exact to rounding; no step-size tuning is involved.  A central finite
+Hessian, third derivatives) through the syntax tree, so derivatives are exact
+to rounding; no step-size tuning is involved.  The data travel as one
+component-major array per batch, whose layout, index tables and expanders to
+dense symmetric arrays are defined here for every module.  A central finite
 difference helper is provided for cross-checking.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -269,213 +274,188 @@ def parse(source: str, dim: int | None = None) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Jet arithmetic (vectorized over N evaluation points)
-
-_SYM_TRIPLES: dict[int, list[tuple[int, int, int]]] = {}
-_SYM_PAIRS: dict[int, list[tuple[int, int]]] = {}
-
-
-def _triples(d: int):
-    if d not in _SYM_TRIPLES:
-        _SYM_TRIPLES[d] = [
-            (i, j, k) for i in range(d) for j in range(i, d) for k in range(j, d)
-        ]
-    return _SYM_TRIPLES[d]
+# Component-major Taylor jets (vectorized over N evaluation points)
+#
+# The jets of a scalar field at N points of R^d are one array of shape
+# (jet_rows(d, order), N): row 0 the value, rows 1..d the gradient, then the
+# Hessian's upper triangle in the order of _pairs(d) (for d = 3: 00 01 02 11
+# 12 22) and, at order 3, the third derivatives with i <= j <= k in the order
+# of _triples(d).  Each distinct entry is computed once, so the dense arrays
+# of triangle_matrices and triple_tensors are symmetric bit for bit.
 
 
-def _pairs(d: int):
-    if d not in _SYM_PAIRS:
-        _SYM_PAIRS[d] = [(i, j) for i in range(d) for j in range(i, d)]
-    return _SYM_PAIRS[d]
+@functools.cache
+def _pairs(d: int) -> tuple:
+    return tuple((i, j) for i in range(d) for j in range(i, d))
 
 
-def symmetrize_hess(hess: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one (bit-exact symmetry)."""
-    d = hess.shape[-1]
-    for i, j in _pairs(d):
-        hess[..., j, i] = hess[..., i, j]
-    return hess
+@functools.cache
+def _triples(d: int) -> tuple:
+    return tuple((i, j, k) for i in range(d) for j in range(i, d) for k in range(j, d))
 
 
-def symmetrize_third(third: np.ndarray) -> np.ndarray:
-    """Copy canonical entries i<=j<=k to all permutations (bit-exact)."""
-    d = third.shape[-1]
-    for i, j, k in _triples(d):
-        v = third[..., i, j, k]
-        third[..., i, k, j] = v
-        third[..., j, i, k] = v
-        third[..., j, k, i] = v
-        third[..., k, i, j] = v
-        third[..., k, j, i] = v
-    return third
+def jet_rows(d: int, order: int) -> int:
+    """Rows of a jet array: 1 + d + d(d+1)/2, and d(d+1)(d+2)/6 more at order 3."""
+    return 1 + d + len(_pairs(d)) + (len(_triples(d)) if order >= 3 else 0)
 
 
-@dataclass
-class Jet:
-    """Taylor data of a scalar field at a batch of points.
-
-    Shapes: val (N,), grad (N,d), hess (N,d,d), third (N,d,d,d) or None
-    when evaluation was requested at order 2.
-    """
-
-    val: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-    third: np.ndarray | None
-
-    @property
-    def order(self) -> int:
-        return 2 if self.third is None else 3
-
-
-def _sym3_hg(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # h symmetric (N,d,d), g (N,d) -> h_ij g_k + h_jk g_i + h_ik g_j
-    t = np.einsum("nij,nk->nijk", h, g)
-    return t + np.einsum("njk,ni->nijk", h, g) + np.einsum("nik,nj->nijk", h, g)
-
-
-def _jconst(value: float, n: int, d: int, order: int) -> Jet:
-    third = np.zeros((n, d, d, d)) if order >= 3 else None
-    return Jet(np.full(n, float(value)), np.zeros((n, d)), np.zeros((n, d, d)), third)
+@functools.cache
+def layout(d: int) -> SimpleNamespace:
+    """Gather tables of the layout in R^d.  pi, pj (ti, tj, tk) index the
+    gradient by each pair's (triple's) indices; tij, tjk, tik index the
+    Hessian triangle by a triple's pairs; pair_slot (d, d) and triple_slot
+    (d, d, d) give the triangle position of any index tuple; hess and third
+    are the row slices of the two triangles."""
+    pi, pj = np.array(_pairs(d)).T
+    ti, tj, tk = np.array(_triples(d)).T
+    pair_slot = np.empty((d, d), dtype=int)
+    pair_slot[pi, pj] = pair_slot[pj, pi] = np.arange(pi.size)
+    triple_slot = np.empty((d, d, d), dtype=int)
+    for perm in itertools.permutations((ti, tj, tk)):
+        triple_slot[perm] = np.arange(ti.size)
+    h0 = 1 + d + pi.size
+    tables = SimpleNamespace(
+        pi=pi, pj=pj, ti=ti, tj=tj, tk=tk, tij=pair_slot[ti, tj], tjk=pair_slot[tj, tk],
+        tik=pair_slot[ti, tk], pair_slot=pair_slot, triple_slot=triple_slot,
+        hess=slice(1 + d, h0), third=slice(h0, h0 + ti.size))
+    # every caller shares the cached tables
+    for value in vars(tables).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return tables
 
 
-def _jvar(idx: int, pts: np.ndarray, order: int) -> Jet:
-    n, d = pts.shape
-    grad = np.zeros((n, d))
-    grad[:, idx] = 1.0
-    third = np.zeros((n, d, d, d)) if order >= 3 else None
-    return Jet(pts[:, idx].copy(), grad, np.zeros((n, d, d)), third)
+def jet_gradients(jets: np.ndarray, d: int) -> np.ndarray:
+    """The gradient rows of jets as an (N, d) array in C order, the layout
+    whose summation order einsum keeps whatever the batch size."""
+    return np.ascontiguousarray(jets[1 : d + 1].T)
 
 
-def _jadd(a: Jet, b: Jet, sign: float = 1.0) -> Jet:
-    third = None
-    if a.third is not None:
-        third = a.third + sign * b.third
-    return Jet(a.val + sign * b.val, a.grad + sign * b.grad, a.hess + sign * b.hess, third)
+def _dense(rows: np.ndarray, d: int, index: tuple) -> np.ndarray:
+    idx = np.array(index).T
+    out = np.empty((rows.shape[1],) + (d,) * len(idx))
+    for perm in itertools.permutations(idx):
+        out[(slice(None), *perm)] = rows.T
+    return out
 
 
-def _jneg(a: Jet) -> Jet:
-    third = None if a.third is None else -a.third
-    return Jet(-a.val, -a.grad, -a.hess, third)
+def triangle_matrices(tri: np.ndarray, d: int) -> np.ndarray:
+    """(N, d, d) symmetric matrices from Hessian-triangle rows (d(d+1)/2, N)."""
+    return _dense(tri, d, _pairs(d))
 
 
-def _jmul(a: Jet, b: Jet) -> Jet:
-    val = a.val * b.val
-    grad = a.grad * b.val[:, None] + b.grad * a.val[:, None]
-    cross = np.einsum("ni,nj->nij", a.grad, b.grad)
-    hess = (
-        a.hess * b.val[:, None, None]
-        + b.hess * a.val[:, None, None]
-        + cross
-        + cross.transpose(0, 2, 1)
-    )
-    third = None
-    if a.third is not None:
-        third = (
-            a.third * b.val[:, None, None, None]
-            + b.third * a.val[:, None, None, None]
-            + _sym3_hg(a.hess, b.grad)
-            + _sym3_hg(b.hess, a.grad)
-        )
-    return Jet(val, grad, hess, third)
+def triple_tensors(tri: np.ndarray, d: int) -> np.ndarray:
+    """(N, d, d, d) symmetric tensors from third-derivative rows i <= j <= k."""
+    return _dense(tri, d, _triples(d))
 
 
-def _jchain(u: Jet, g0, g1, g2, g3) -> Jet:
-    """Compose scalar g (given derivative values at u.val) with the jet u."""
-    val = g0
-    grad = g1[:, None] * u.grad
-    outer = np.einsum("ni,nj->nij", u.grad, u.grad)
-    hess = g2[:, None, None] * outer + g1[:, None, None] * u.hess
-    third = None
-    if u.third is not None:
-        outer3 = np.einsum("nij,nk->nijk", outer, u.grad)
-        third = (
-            g3[:, None, None, None] * outer3
-            + g2[:, None, None, None] * _sym3_hg(u.hess, u.grad)
-            + g1[:, None, None, None] * u.third
-        )
-    return Jet(val, grad, hess, third)
+def sym3(h: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
+    """h_ij g_k + h_jk g_i + h_ik g_j on the triples, from Hessian-triangle rows
+    h (d(d+1)/2, N) and gradient rows g (d, N)."""
+    t = layout(d)
+    return h[t.tij] * g[t.tk] + h[t.tjk] * g[t.ti] + h[t.tik] * g[t.tj]
 
 
-def _jpow(u: Jet, frac: Fraction) -> Jet:
+def _const(value: float, n: int, rows: int) -> np.ndarray:
+    out = np.zeros((rows, n))
+    out[0] = value
+    return out
+
+
+def _mul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    t = layout(d)
+    ga, gb = a[1 : d + 1], b[1 : d + 1]
+    out = a * b[0] + b * a[0]
+    out[0] = a[0] * b[0]
+    hess = out[t.hess]
+    hess += ga[t.pi] * gb[t.pj]
+    hess += ga[t.pj] * gb[t.pi]
+    if len(a) > t.hess.stop:
+        third = out[t.third]
+        third += sym3(a[t.hess], gb, d)
+        third += sym3(b[t.hess], ga, d)
+    return out
+
+
+def _chain(u: np.ndarray, d: int, g0, g1, g2, g3) -> np.ndarray:
+    """Compose scalar g (given derivative values at the value row) with u."""
+    t = layout(d)
+    grad = u[1 : d + 1]
+    out = np.empty(u.shape)
+    out[0] = g0
+    out[1 : d + 1] = g1 * grad
+    out[t.hess] = g2 * (grad[t.pi] * grad[t.pj]) + g1 * u[t.hess]
+    if len(u) > t.hess.stop:
+        out[t.third] = (g3 * (grad[t.ti] * grad[t.tj] * grad[t.tk])
+                        + g2 * sym3(u[t.hess], grad, d) + g1 * u[t.third])
+    return out
+
+
+def _pow(u: np.ndarray, d: int, frac: Fraction) -> np.ndarray:
     p = float(frac)
-    base = u.val
-    n_pts, d = u.grad.shape
+    base = u[0]
     if frac.denominator == 1:
         n = int(frac)
         if n == 0:
-            return _jconst(1.0, n_pts, d, u.order)
+            return _const(1.0, base.size, len(u))
         if n == 1:
             return u
         if n < 0 and np.any(base == 0.0):
             raise EvalDomainError("zero base with negative integer exponent")
+    elif np.any(base <= 0.0):
+        raise EvalDomainError("fractional power of non-positive base")
 
-        def deriv(k: int):
-            coeff = 1.0
-            for m in range(k):
-                coeff *= n - m
-            if coeff == 0.0:  # polynomial of degree n: higher derivatives vanish
-                return np.zeros(n_pts)
-            return coeff * base ** (n - k)
+    def deriv(k: int):
+        coeff = 1.0
+        for m in range(k):
+            coeff *= p - m
+        if coeff == 0.0:  # polynomial of degree n: higher derivatives vanish
+            return np.zeros(base.size)
+        return coeff * base ** (p - k)
 
-    else:
-        if np.any(base <= 0.0):
-            raise EvalDomainError("fractional power of non-positive base")
-
-        def deriv(k: int):
-            coeff = 1.0
-            for m in range(k):
-                coeff *= p - m
-            return coeff * base ** (p - k)
-
-    g3 = deriv(3) if u.third is not None else None
-    return _jchain(u, deriv(0), deriv(1), deriv(2), g3)
+    g3 = deriv(3) if len(u) > layout(d).hess.stop else None
+    return _chain(u, d, deriv(0), deriv(1), deriv(2), g3)
 
 
-def _jdiv(a: Jet, b: Jet) -> Jet:
-    if np.any(b.val == 0.0):
-        raise EvalDomainError("division by zero")
-    inv = _jpow(b, Fraction(-1))
-    return _jmul(a, inv)
-
-
-def _eval_node(node, pts: np.ndarray, order: int) -> Jet:
+def _eval_node(node, pts: np.ndarray, rows: int) -> np.ndarray:
     n, d = pts.shape
     if isinstance(node, Const):
-        return _jconst(node.value, n, d, order)
+        return _const(node.value, n, rows)
     if isinstance(node, Var):
-        return _jvar(node.index, pts, order)
+        out = np.zeros((rows, n))
+        out[0] = pts[:, node.index]
+        out[1 + node.index] = 1.0
+        return out
     if isinstance(node, Neg):
-        return _jneg(_eval_node(node.arg, pts, order))
+        return -_eval_node(node.arg, pts, rows)
     if isinstance(node, Bin):
-        a = _eval_node(node.left, pts, order)
-        b = _eval_node(node.right, pts, order)
+        a = _eval_node(node.left, pts, rows)
+        b = _eval_node(node.right, pts, rows)
         if node.op == "+":
-            return _jadd(a, b)
+            return a + b
         if node.op == "-":
-            return _jadd(a, b, sign=-1.0)
+            return a - b
         if node.op == "*":
-            return _jmul(a, b)
-        return _jdiv(a, b)
+            return _mul(a, b, d)
+        if np.any(b[0] == 0.0):
+            raise EvalDomainError("division by zero")
+        return _mul(a, _pow(b, d, Fraction(-1)), d)
     if isinstance(node, Pow):
-        return _jpow(_eval_node(node.base, pts, order), node.exponent)
+        return _pow(_eval_node(node.base, pts, rows), d, node.exponent)
     if isinstance(node, Sqrt):
-        return _jpow(_eval_node(node.arg, pts, order), Fraction(1, 2))
+        return _pow(_eval_node(node.arg, pts, rows), d, Fraction(1, 2))
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def evaluate(expr: Expression, points: np.ndarray, order: int = 3) -> Jet:
-    """Evaluate expr with derivatives at a batch of points, shape (N,d)."""
+def evaluate(expr: Expression, points: np.ndarray, order: int = 3) -> np.ndarray:
+    """Jets of expr at a batch of points (N, d): the component-major array of
+    order 3, or of order 2 for any lower order."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != expr.dim:
         raise ValueError(f"points must have shape (N,{expr.dim})")
     if not np.all(np.isfinite(pts)):
         raise EvalDomainError("non-finite evaluation point")
-    jet = _eval_node(expr.ast, pts, order)
-    symmetrize_hess(jet.hess)
-    if jet.third is not None:
-        symmetrize_third(jet.third)
-    return jet
+    return _eval_node(expr.ast, pts, jet_rows(expr.dim, order))
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Minkowski norms, dual support solves, and the derived tensors.
 
 A norm object exposes the gauge function together with its derivatives up to
-third order as a `Jet` of (N, d) and (N, d, d) arrays.  Order-2 jets pass
-between modules in one form only: the component-major array of
-`gauge_components`.  From those it derives the support function of the unit
+third order through gauge_jets, as one component-major array in the layout
+of capflow.expr (value, gradient, Hessian triangle and, at order 3, the
+third-derivative entries i <= j <= k; one row per entry, one column per
+point).  Jets pass between modules in that form only; the metric G and the
+tensor Q are expanded to dense (N, d, d) and (N, d, d, d) arrays only where
+they are read.  From the jets it derives the support function of the unit
 ball and its maximizers (the Cahn-Hoffman points), and the rim maximizers on
 a horizontal slice of the ball; the squared-gauge Hessian metric; its
 third-derivative tensor; and the curvature matrix of the support function.
@@ -24,10 +27,12 @@ from . import CapflowError, expr as expr_mod
 from .expr import (
     EvalDomainError,
     Expression,
-    Jet,
-    _pairs,
-    _sym3_hg,
-    symmetrize_third,
+    jet_gradients,
+    jet_rows,
+    layout,
+    sym3,
+    triangle_matrices,
+    triple_tensors,
 )
 
 DUAL_TOL = 1e-12
@@ -88,50 +93,17 @@ def sample_directions(count: int, d: int, seed: int = 42) -> np.ndarray:
     return fibonacci_sphere(count) if d == 3 else random_directions(count, d, seed)
 
 
-# -- component-major order-2 jets --------------------------------------------
+# -- metrics on component-major jets ------------------------------------------
 #
-# Order-2 jets of N points in R^d as one (1 + d + d(d+1)/2, N) array: row 0
-# the value, rows 1..d the gradient, then the Hessian's upper triangle in the
-# row-major order of expr._pairs(d) ((0,0), (0,1), ... for d = 3: 00 01 02 11
-# 12 22).  Symmetric d x d metrics use the same triangle order.
-
-
-def _triangle(d: int):
-    """Row and column indices of the upper triangle, in component order."""
-    i, j = zip(*_pairs(d))
-    return np.array(i), np.array(j)
-
-
-def triangle_matrices(tri: np.ndarray, d: int) -> np.ndarray:
-    """(N, d, d) symmetric matrices from upper triangles (d(d+1)/2, N)."""
-    i, j = _triangle(d)
-    out = np.empty((tri.shape[1], d, d))
-    out[:, i, j] = out[:, j, i] = tri.T
-    return out
-
-
-def jet_components(jet: Jet) -> np.ndarray:
-    """The component-major array of an order-2 Jet."""
-    n, d = jet.grad.shape
-    i, j = _triangle(d)
-    out = np.empty((1 + d + i.size, n))
-    out[0] = jet.val
-    out[1 : d + 1] = jet.grad.T
-    out[d + 1 :] = jet.hess[:, i, j].T
-    return out
-
-
-def components_jet(comps: np.ndarray, d: int) -> Jet:
-    """The order-2 Jet of a component-major array."""
-    return Jet(comps[0].copy(), comps[1 : d + 1].T.copy(),
-               triangle_matrices(comps[d + 1 :], d), None)
+# Symmetric d x d metrics are stored like the Hessian of a jet: their upper
+# triangle in the order of expr._pairs(d), one row per entry.
 
 
 def metric_components(comps: np.ndarray, d: int) -> np.ndarray:
     """Upper triangle of G = gauge*Hess + Dgauge Dgauge^T, (d(d+1)/2, N)."""
-    i, j = _triangle(d)
+    t = layout(d)
     grad = comps[1 : d + 1]
-    return comps[0] * comps[d + 1 :] + grad[i] * grad[j]
+    return comps[0] * comps[t.hess] + grad[t.pi] * grad[t.pj]
 
 
 def solve_components(g: np.ndarray, rhs: np.ndarray, name: str = "norm") -> np.ndarray:
@@ -173,10 +145,12 @@ def adjugate3(g: np.ndarray):
 class Norm:
     """A smooth elliptic gauge on R^d with derivative oracles.
 
-    Subclasses implement gauge_jets, may implement gauge_components
-    natively, and may give support_many and slice_maximizers in closed form.
-    Everything else (metric, third-order tensor, curvature matrix of the
-    support function) is generic.
+    Subclasses implement gauge_jets(pts, order), which takes points (N, d)
+    and returns their jets of order 2 or 3 as one component-major array
+    (expr.jet_rows(d, order), N); its order-2 rows are the leading rows of
+    the order-3 array.  They may give support_many and slice_maximizers in
+    closed form.  Everything else (metric, third-order tensor, curvature
+    matrix of the support function) is generic.
     """
 
     def __init__(self, d: int, name: str = "norm"):
@@ -185,17 +159,12 @@ class Norm:
 
     # -- gauge evaluation -------------------------------------------------
 
-    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
+    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> np.ndarray:
         raise NotImplementedError
 
-    def gauge_components(self, pts: np.ndarray) -> np.ndarray:
-        """Order-2 jets at points given component-major, pts of shape (d, N),
-        as one component-major array (see jet_components)."""
-        return jet_components(self.gauge_jets(pts.T, order=2))
-
     def f0_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return self.gauge_jets(pts, order=2).val
+        # a copy: a view of the value row would keep every jet row alive
+        return self.gauge_jets(np.asarray(pts, dtype=float), order=2)[0].copy()
 
     def f0(self, x) -> float:
         """The gauge at one point, by homogeneity from x / max|x_i|, so that a
@@ -225,14 +194,13 @@ class Norm:
         system reduces to one solve against the metric
         G = gauge*Hess + Dgauge Dgauge^T:  G w = r_x, ds = <Dgauge, w>,
         dz = (gauge/s) w - (ds/s + r_g/gauge) z.  The loop runs on
-        component-major arrays, (d, N) points and gauge_components jets, for
+        component-major arrays, (d, N) points and their order-2 jets, for
         every d, on all N rows at once: a row at tol or with a NaN residual
         takes a zero step and keeps its state bitwise, and only the rows above
         tol steer the line search or meet the metric check.  jets0, the
-        gauge_components array at z0, spares the start-up evaluation.
-        Returns (values, maximizers (N, d), iterations, converged_mask) and,
-        with return_jets, the gauge_components array at the maximizers as a
-        fifth item.
+        order-2 jets at z0, spares the start-up evaluation.  Returns (values,
+        maximizers (N, d), iterations, converged_mask) and, with return_jets,
+        the order-2 jets at the maximizers as a fifth item.
         """
         xs = np.asarray(xs, dtype=float)
         d = xs.shape[1]
@@ -241,7 +209,7 @@ class Norm:
             raise NormError("support direction must be nonzero")
         x = np.ascontiguousarray(xs.T)
         start = x if z0 is None else np.ascontiguousarray(np.asarray(z0, dtype=float).T)
-        jets = self.gauge_components(start) if jets0 is None else jets0
+        jets = self.gauge_jets(start.T) if jets0 is None else jets0
         # rescale the jets onto the unit level set by homogeneity instead of
         # re-evaluating: grad is 0-homogeneous, hess is (-1)-homogeneous
         c = jets[0]
@@ -260,7 +228,7 @@ class Norm:
             return r, np.sqrt((r * r).sum(axis=0)) / scale_a
 
         r, rnorm = residual_norm(x, s, jet, scale)
-        eye = np.eye(d)[_triangle(d)][:, None]
+        eye = np.eye(d)[layout(d).pi, layout(d).pj][:, None]
         iterations = 0
         for iterations in range(1, DUAL_MAX_ITER + 1):
             keep = ~(rnorm > tol)
@@ -279,7 +247,7 @@ class Norm:
                 z_try = z + step * dz
                 s_try = s + step * ds
                 with np.errstate(all="ignore"):
-                    jet_try = self.gauge_components(z_try)
+                    jet_try = self.gauge_jets(z_try.T)
                     r_try, rnorm_try = residual_norm(x, s_try, jet_try, scale)
                 if np.all((np.isfinite(rnorm_try) & (rnorm_try <= rnorm)) | keep):
                     break
@@ -300,11 +268,12 @@ class Norm:
         quadric and quartic gauges override it by a closed form.
 
         h (2, N) holds the horizontal parts of the rim directions (or the
-        planar normals of the slice support table), component-major.  The maximizer z of <h + t E_up, .> for the right t
-        lies on the slice, where the horizontal gauge gradient is parallel to
-        h.  A 2x2 Newton per node solves gauge(z) = 1 and h_1 d_2 gauge - h_2
+        planar normals of the slice support table), component-major.  The
+        maximizer z of <h + t E_up, .> for the right t lies on the slice,
+        where the horizontal gauge gradient is parallel to h.  A 2x2 Newton per node solves gauge(z) = 1 and h_1 d_2 gauge - h_2
         d_1 gauge = 0 for (z_1, z_2), from z0 (N, 3) or from the slice points
-        along h.  Returns z (N, 3) and the gauge_components array at z.
+        along h, and stops once its step, which it applies, is at most
+        CLOSURE_TOL.  Returns z (N, 3) and the order-2 jets at z.
         """
         h1, h2 = h
         if z0 is None:
@@ -313,9 +282,9 @@ class Norm:
             z0 = ball_slice_points(self, omega0, np.stack([h1 / h_len, h2 / h_len, 0 * h1], 1))
         z = np.array(z0, dtype=float).T
         z[2] = -omega0
+        # jets rows: value, gradient 0..2, Hessian 00 01 02 11 12 22
+        c = self.gauge_jets(z.T)
         for _ in range(CLOSURE_MAX_ITER):
-            # jets rows: value, gradient 0..2, Hessian 00 01 02 11 12 22
-            c = self.gauge_components(z)
             r1, r2 = c[0] - 1.0, h1 * c[2] - h2 * c[1]
             j21, j22 = h1 * c[5] - h2 * c[4], h1 * c[7] - h2 * c[5]
             det = c[1] * j22 - c[2] * j21
@@ -323,12 +292,11 @@ class Norm:
                 dz = np.stack(((j22 * r1 - c[2] * r2) / det, (c[1] * r2 - j21 * r1) / det))
             if not np.isfinite(dz).all():
                 raise FlowError("singular boundary closure system")
-            if np.abs(dz).max() <= CLOSURE_TOL:
-                break
             z[:2] -= dz
-        else:
-            raise FlowError(f"boundary closure did not converge in {CLOSURE_MAX_ITER} iterations")
-        return z.T, c
+            c = self.gauge_jets(z.T)
+            if np.abs(dz).max() <= CLOSURE_TOL:
+                return z.T, c
+        raise FlowError(f"boundary closure did not converge in {CLOSURE_MAX_ITER} iterations")
 
     def support(self, x) -> DualSolveResult:
         """Support value and touching point for one direction."""
@@ -342,19 +310,22 @@ class Norm:
 
     # -- derived tensors --------------------------------------------------
 
-    def metric_G_many(self, xis: np.ndarray, jets: Jet | None = None) -> np.ndarray:
-        """Hessian of half the squared gauge, shape (N,d,d)."""
+    def metric_G_many(self, xis: np.ndarray, jets: np.ndarray | None = None) -> np.ndarray:
+        """Hessian of half the squared gauge, shape (N,d,d); jets, the jets at
+        xis, spares their evaluation."""
         if jets is None:
             jets = self.gauge_jets(np.asarray(xis, dtype=float), order=2)
-        outer = np.einsum("ni,nj->nij", jets.grad, jets.grad)
-        return jets.val[:, None, None] * jets.hess + outer
+        return triangle_matrices(metric_components(jets, self.d), self.d)
 
-    def tensor_Q_many(self, xis: np.ndarray, jets: Jet | None = None) -> np.ndarray:
-        """Third derivative of half the squared gauge, shape (N,d,d,d)."""
-        if jets is None or jets.third is None:
+    def tensor_Q_many(self, xis: np.ndarray, jets: np.ndarray | None = None) -> np.ndarray:
+        """Third derivative of half the squared gauge, shape (N,d,d,d): the
+        gauge times its third derivative plus the symmetrized Hessian times
+        gradient.  Order-3 jets at xis spare their evaluation."""
+        d, t = self.d, layout(self.d)
+        if jets is None or len(jets) < jet_rows(d, 3):
             jets = self.gauge_jets(np.asarray(xis, dtype=float), order=3)
-        q = jets.val[:, None, None, None] * jets.third + _sym3_hg(jets.hess, jets.grad)
-        return symmetrize_third(q)
+        q = jets[0] * jets[t.third] + sym3(jets[t.hess], jets[1 : d + 1], d)
+        return triple_tensors(q, d)
 
     def support_hessian_many(
         self, nus: np.ndarray, maximizers: np.ndarray | None = None
@@ -364,7 +335,7 @@ class Norm:
         Uses the inverse-function identity against the metric of the gauge:
         support_value(nu) * D2(support)(nu) = (I - outer(z, Dgauge(z))) G(z)^-1
         with z the touching point for nu.  G^-1 comes from solve_components on
-        the gauge_components jets at z.  Restricted to the tangent plane of
+        the order-2 jets at z.  Restricted to the tangent plane of
         the direction sphere this is the curvature matrix of the unit ball.
         """
         nus = np.asarray(nus, dtype=float)
@@ -373,7 +344,7 @@ class Norm:
             if not np.all(ok):
                 raise DualSolveError(f"support solve failed for {self.name}")
         z, d = maximizers, self.d
-        comps = self.gauge_components(np.ascontiguousarray(z.T))
+        comps = self.gauge_jets(z)
         eye = np.eye(d)
         rhs = np.broadcast_to(eye[:, :, None], (d, d, len(z)))
         g_inv = solve_components(metric_components(comps, d), rhs, self.name).transpose(2, 0, 1)
@@ -441,7 +412,7 @@ class Norm:
         axes = np.eye(self.d)
         dirs = np.concatenate((sample_directions(samples, self.d), axes, -axes))
         lams = np.array([1.0, 0.5, 2.0])[:, None]
-        comps = self.gauge_components((lams[:, :, None] * dirs).reshape(-1, self.d).T)
+        comps = self.gauge_jets((lams[:, :, None] * dirs).reshape(-1, self.d))
         base, *scaled = comps[0].reshape(3, -1)
         res = max(float(np.abs(v - lam * base).max()) for v, lam in zip(scaled, lams[1:, 0]))
         return comps[:, : len(dirs)], res
@@ -458,8 +429,8 @@ class Norm:
         ys = random_directions(samples, self.d, seed=seed + 1)
         f_val, z, _, ok = self.support_many(dirs)
         jets = self.gauge_jets(z, order=2)
-        res_a = float(np.abs(jets.val - 1.0).max())
-        res_b = float(np.abs(jets.grad - dirs / f_val[:, None]).max())
+        res_a = float(np.abs(jets[0] - 1.0).max())
+        res_b = float(np.abs(jets[1 : self.d + 1].T - dirs / f_val[:, None]).max())
         g_mat = self.metric_G_many(z, jets=jets)
         lhs = np.einsum("ni,nij,nj->n", z, g_mat, ys)
         rhs = np.einsum("ni,ni->n", ys, dirs) / f_val
@@ -487,25 +458,20 @@ class QuadraticNorm(Norm):
             self._a_inv_m = self._a_inv @ m[:2, 2]
             self._slice_s = float(m[2, 2] - m[:2, 2] @ self._a_inv_m)
 
-    def gauge_components(self, pts: np.ndarray) -> np.ndarray:
-        d = self.d
-        i, j = _triangle(d)
-        out = np.empty((1 + d + i.size, pts.shape[1]))
+    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float).T
+        d, t = self.d, layout(self.d)
+        out = np.empty((jet_rows(d, order), pts.shape[1]))
         mx = self.m @ pts
         q = (pts * mx).sum(axis=0)
         if np.any(q <= 0.0):
             raise EvalDomainError("quadratic gauge evaluated at the origin")
         val = out[0] = np.sqrt(q)
         grad = out[1 : d + 1] = mx / val
-        out[d + 1 :] = (self.m[i, j][:, None] - grad[i] * grad[j]) / val
-        return out
-
-    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
-        jet = components_jet(self.gauge_components(np.asarray(pts, dtype=float).T), self.d)
+        hess = out[t.hess] = (self.m[t.pi, t.pj][:, None] - grad[t.pi] * grad[t.pj]) / val
         if order >= 3:
-            jet.third = -_sym3_hg(jet.hess, jet.grad) / jet.val[:, None, None, None]
-            symmetrize_third(jet.third)
-        return jet
+            out[t.third] = -sym3(hess, grad, d) / val
+        return out
 
     def slice_maximizers(self, h, omega0, z0=None):
         """Closed form: on the slice z = (y, -omega0) the horizontal gradient is
@@ -520,7 +486,7 @@ class QuadraticNorm(Norm):
         z = np.empty((3, h.shape[1]))
         z[:2] = t * a_inv_h + omega0 * self._a_inv_m[:, None]
         z[2] = -omega0
-        return z.T, self.gauge_components(z)
+        return z.T, self.gauge_jets(z.T)
 
     def support_many(self, xs, z0=None, tol=DUAL_TOL, return_jets=False, jets0=None):
         xs = np.asarray(xs, dtype=float)
@@ -530,7 +496,7 @@ class QuadraticNorm(Norm):
         ok = np.ones(xs.shape[0], dtype=bool)
         if not return_jets:
             return val, z, 0, ok
-        return val, z, 0, ok, self.gauge_components(np.ascontiguousarray(z.T))
+        return val, z, 0, ok, self.gauge_jets(z)
 
 
 class ExpressionNorm(Norm):
@@ -540,7 +506,7 @@ class ExpressionNorm(Norm):
         super().__init__(expression.dim, name=name)
         self.expression = expression
 
-    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
+    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> np.ndarray:
         return expr_mod.evaluate(self.expression, pts, order=order)
 
 
@@ -577,11 +543,11 @@ def ray_roots(
         passes += 1
         r, u = rho[act], dirs[act]
         jet = norm.gauge_jets(r[:, None] * u + offset, order=2)
-        g = jet.val - level
+        g = jet[0] - level
         hi[act] = np.where(g > 0, r, hi[act])
         lo[act] = np.where(g <= 0, r, lo[act])
         with np.errstate(all="ignore"):
-            step = g / np.einsum("ni,ni->n", jet.grad, u)
+            step = g / np.einsum("ni,ni->n", jet_gradients(jet, norm.d), u)
         r_new = r - step
         tol = RAY_TOL * np.maximum(1.0, r)
         # a converged step lands on its own bracket end: test it first
@@ -611,11 +577,11 @@ class ShiftedGaugeNorm(Norm):
         self.base = base
         self.eta = eta
 
-    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
+    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         t = 1.0 / ray_roots(self.base, pts, -self.eta, 1.0)[0]
         y = pts - t[:, None] * self.eta[None, :]
-        return self._shifted_jet(t, self.base.gauge_jets(y, order=3 if order >= 3 else 2), order)
+        return self._shifted_jet(t, self.base.gauge_jets(y, order=order), order)
 
     def support_many(self, xs, z0=None, tol=DUAL_TOL, return_jets=False, jets0=None):
         """The unit ball is the base ball + eta, so the support is the base
@@ -629,65 +595,43 @@ class ShiftedGaugeNorm(Norm):
         z = z + self.eta
         if not return_jets:
             return s, z, iterations, ok
-        ones = np.ones(xs.shape[0])
-        jet = self._shifted_jet(ones, components_jet(base_jets[0], self.d), 2)
-        return s, z, iterations, ok, jet_components(jet)
+        return s, z, iterations, ok, self._shifted_jet(np.ones(xs.shape[0]), base_jets[0], 2)
 
-    def _shifted_jet(self, t: np.ndarray, base_jet: Jet, order: int) -> Jet:
+    def _shifted_jet(self, t: np.ndarray, base_jet: np.ndarray, order: int) -> np.ndarray:
         """Implicit differentiation of base_gauge(x - t eta) = t: the shifted
         gauge's jets at the points x = y + t eta, from its values t and the
         base jets at y (order 3 needs their third derivatives)."""
-        eta = self.eta
-        g = base_jet.grad
-        h = base_jet.hess
-        c = 1.0 + g @ eta
-        grad = g / c[:, None]
-        h_eta = np.einsum("nij,j->ni", h, eta)
-        s2 = h_eta @ eta
-        outer_gg = np.einsum("ni,nj->nij", g, g)
-        hess = (
-            h / c[:, None, None]
-            - (
-                np.einsum("ni,nj->nij", h_eta, g)
-                + np.einsum("ni,nj->nij", g, h_eta)
-            )
-            / (c**2)[:, None, None]
-            + s2[:, None, None] * outer_gg / (c**3)[:, None, None]
-        )
-        third = None
+        d, lay, eta = self.d, layout(self.d), self.eta
+        i, j = lay.pi, lay.pj
+        ti, tj, tk = lay.ti, lay.tj, lay.tk
+        g = base_jet[1 : d + 1]
+        h = base_jet[lay.hess]
+        c = 1.0 + eta @ g
+        out = np.empty((jet_rows(d, order), t.size))
+        out[0] = t
+        out[1 : d + 1] = g / c
+        # contractions with eta of the Hessian (to a vector) and of the third
+        # derivatives (to a triangle, a vector and a scalar)
+        h_eta = np.einsum("j,ijn->in", eta, h[lay.pair_slot])
+        s2 = eta @ h_eta
+        out[lay.hess] = (h / c - (h_eta[i] * g[j] + g[i] * h_eta[j]) / c**2
+                         + s2 * (g[i] * g[j]) / c**3)
         if order >= 3:
-            t3 = base_jet.third
-            t3_eta = np.einsum("nijl,l->nij", t3, eta)
-            t3_eta2 = np.einsum("nij,j->ni", t3_eta, eta)
-            t3_eta3 = t3_eta2 @ eta
+            t3 = base_jet[lay.third]
+            t3_eta = np.einsum("l,pln->pn", eta, t3[lay.triple_slot[i, j]])
+            t3_eta2 = np.einsum("j,ijn->in", eta, t3_eta[lay.pair_slot])
+            t3_eta3 = eta @ t3_eta2
+            ggg = g[ti] * g[tj] * g[tk]
 
-            def sym3_vgg(w, gg):
-                out = np.einsum("ni,nj,nk->nijk", w, gg, gg)
-                return (
-                    out
-                    + np.einsum("nj,ni,nk->nijk", w, gg, gg)
-                    + np.einsum("nk,ni,nj->nijk", w, gg, gg)
-                )
+            def sym3_vgg(w):
+                return w[ti] * g[tj] * g[tk] + w[tj] * g[ti] * g[tk] + w[tk] * g[ti] * g[tj]
 
-            c1 = c[:, None, None, None]
-            term1 = t3 / c1
-            term2 = (_sym3_hg(t3_eta, g) + _sym3_hg(h, h_eta)) / c1**2
-            ggg = np.einsum("ni,nj,nk->nijk", g, g, g)
-            term3 = (
-                sym3_vgg(t3_eta2, g)
-                + s2[:, None, None, None] * _sym3_hg(h, g)
-                + 2.0 * _sym3_hg(np.einsum("ni,nj->nij", h_eta, h_eta), g)
-            ) / c1**3
-            term4 = (
-                t3_eta3[:, None, None, None] * ggg
-                + 3.0 * s2[:, None, None, None] * sym3_vgg(h_eta, g)
-            ) / c1**4
-            term5 = 3.0 * (s2**2)[:, None, None, None] * ggg / c1**5
-            third = term1 - term2 + term3 - term4 + term5
-            symmetrize_third(third)
-        # note: hess of sym terms built from symmetric pieces; enforce exactly
-        hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-        return Jet(t, grad, hess, third)
+            term2 = (sym3(t3_eta, g, d) + sym3(h, h_eta, d)) / c**2
+            term3 = (sym3_vgg(t3_eta2) + s2 * sym3(h, g, d)
+                     + 2.0 * sym3(h_eta[i] * h_eta[j], g, d)) / c**3
+            term4 = (t3_eta3 * ggg + 3.0 * s2 * sym3_vgg(h_eta)) / c**4
+            out[lay.third] = t3 / c - term2 + term3 - term4 + 3.0 * (s2 * s2) * ggg / c**5
+        return out
 
 
 def _meridian_slope(k: np.ndarray) -> np.ndarray:
@@ -722,12 +666,11 @@ class QuarticGaugeNorm(Norm):
         super().__init__(3, name=name)
         self.c = float(c)
 
-    def _parts(self, pts: np.ndarray):
-        """p = gauge^4 with its gradient and Hessian triangle as component
-        tuples, the chain-rule factors a1 = 1/4 p^(-3/4) and a2 = -3/4 a1/p,
-        and the order-2 component array built from them."""
-        x, y, z = pts
-        c = self.c
+    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> np.ndarray:
+        """Jets of gauge = p^(1/4), p = gauge^4, by the chain rule from the
+        derivatives of p, written out componentwise."""
+        x, y, z = np.asarray(pts, dtype=float).T
+        c, t = self.c, layout(3)
         zz = z * z
         q = x * x + c * y * y
         s = q + zz
@@ -739,7 +682,7 @@ class QuarticGaugeNorm(Norm):
         # d2p = ds (x) dq + dq (x) ds + q*d2s + s*d2q expanded componentwise
         d2p = (8.0 * x * x + 2.0 * qs, 8.0 * c * x * y, 4.0 * x * z,
                8.0 * c * c * y * y + 2.0 * c * qs, 4.0 * c * y * z, 2.0 * q + 12.0 * zz)
-        out = np.empty((10, p.size))
+        out = np.empty((jet_rows(3, order), p.size))
         # gauge = p^(1/4); derivative factors via val to avoid extra pow calls
         val = out[0] = np.sqrt(np.sqrt(p))
         a1 = 0.25 * val / p
@@ -747,13 +690,19 @@ class QuarticGaugeNorm(Norm):
         a2_dp = [a2 * dp_i for dp_i in dp]
         for k in range(3):
             np.multiply(a1, dp[k], out=out[1 + k])
-        for k, (i, j) in enumerate(_pairs(3)):
+        for k, (i, j) in enumerate(zip(t.pi, t.pj)):
             np.multiply(a1, d2p[k], out=out[4 + k])
             out[4 + k] += a2_dp[i] * dp[j]
-        return p, a1, a2, dp, d2p, out
-
-    def gauge_components(self, pts: np.ndarray) -> np.ndarray:
-        return self._parts(pts)[-1]
+        if order >= 3:
+            # the third derivatives of p in the order 000 001 002 011 012 022
+            # 111 112 122 222
+            d3p = np.array((24.0 * x, 8.0 * c * y, 4.0 * z, 8.0 * c * x, np.zeros_like(x), 4.0 * x,
+                            24.0 * c * c * y, 4.0 * c * z, 4.0 * c * y, 24.0 * z))
+            dp = np.array(dp)
+            a3 = -1.75 * a2 / p
+            out[t.third] = (a1 * d3p + a2 * sym3(np.array(d2p), dp, 3)
+                            + a3 * (dp[t.ti] * dp[t.tj] * dp[t.tk]))
+        return out
 
     def support_many(self, xs, z0=None, tol=DUAL_TOL, return_jets=False, jets0=None):
         """Closed form; z0, tol and jets0 are unused.  Writing q = x^2 + c y^2,
@@ -788,7 +737,7 @@ class QuarticGaugeNorm(Norm):
         ok = np.isfinite(s)
         if not return_jets:
             return s, np.ascontiguousarray(z.T), 0, ok
-        return s, np.ascontiguousarray(z.T), 0, ok, self.gauge_components(z)
+        return s, np.ascontiguousarray(z.T), 0, ok, self.gauge_jets(z.T)
 
     def slice_maximizers(self, h, omega0, z0=None):
         """Closed form: the slice z_3 = -omega0 is the ellipse q = q* with
@@ -808,38 +757,7 @@ class QuarticGaugeNorm(Norm):
         z[0] = t * h1
         z[1] = t * h2_c
         z[2] = -omega0
-        return z.T, self.gauge_components(z)
-
-    def gauge_jets(self, pts: np.ndarray, order: int = 2) -> Jet:
-        pts = np.asarray(pts, dtype=float)
-        p, a1, a2, dp, d2p, comps = self._parts(pts.T)
-        jet = components_jet(comps, 3)
-        if order >= 3:
-            n = p.size
-            x, y, z = pts.T
-            dp = np.stack(dp, axis=1)
-            d2p = triangle_matrices(np.array(d2p), 3)
-            dq = np.zeros((n, 3))
-            dq[:, 0] = 2.0 * x
-            dq[:, 1] = 2.0 * self.c * y
-            ds = dq.copy()
-            ds[:, 2] = 2.0 * z
-            d2q = np.diag([2.0, 2.0 * self.c, 0.0])
-            d2s = np.diag([2.0, 2.0 * self.c, 2.0])
-            d3p = _sym3_hg(
-                np.broadcast_to(d2s, (n, 3, 3)), dq
-            ) + _sym3_hg(np.broadcast_to(d2q, (n, 3, 3)), ds)
-            d3p = np.array(d3p)
-            d3p[:, 2, 2, 2] += 24 * z
-            a3 = -1.75 * a2 / p
-            jet.third = (
-                a1[:, None, None, None] * d3p
-                + a2[:, None, None, None] * _sym3_hg(d2p, dp)
-                + a3[:, None, None, None]
-                * np.einsum("ni,nj,nk->nijk", dp, dp, dp)
-            )
-            symmetrize_third(jet.third)
-        return jet
+        return z.T, self.gauge_jets(z.T)
 
 
 # ---------------------------------------------------------------------------

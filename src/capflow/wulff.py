@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import CapflowError
+from .expr import jet_gradients
 # the ray-root solver and its constants live with the norms; wulff re-exports them
 from .norms import RAY_MAX_ITER, RAY_TOL, Norm, ray_roots, sample_directions
 
@@ -121,7 +122,7 @@ class CapillaryWulffShape:
 
     def normals(self, points: np.ndarray) -> np.ndarray:
         """Outward Euclidean unit normals at boundary points."""
-        g = self.norm.gauge_jets(points - self.center, order=2).grad
+        g = jet_gradients(self.norm.gauge_jets(points - self.center, order=2), self.norm.d)
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
     def static_residual(self, sample_count: int = 1000, seed: int = 42) -> float:
@@ -171,7 +172,7 @@ class TranslatedNorm:
         jets = self.base.gauge_jets(zs, order=3)
         g_mat = self.base.metric_G_many(zs, jets=jets)
         q_ten = self.base.tensor_Q_many(zs, jets=jets)
-        c = 1.0 + jets.grad @ self.eta
+        c = 1.0 + self.eta @ jets[1 : self.base.d + 1]
         if np.any(c <= 0.0):
             raise WulffError("transfer hypothesis violated: 1 + G(z)(z,eta) <= 0")
         g_xy = np.einsum("ni,nij,nj->n", xs, g_mat, ys)

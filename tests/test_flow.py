@@ -1,7 +1,6 @@
 """Time stepping, boundary solve, monitors, and failure paths."""
 
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from capflow.flow import (
     time_step,
 )
 from capflow.checks import static_cap_bundle
-from capflow import norms
 from capflow.norms import QUARTIC_A2_TEXT, Norm, QuadraticNorm, make_norm
 from capflow.surface import GraphSurface, HalfSphereGrid, enclosed_volume, geometry
 from capflow.wulff import CapillaryWulffShape, anchor_vector
@@ -178,10 +176,7 @@ class TestQuadricClosure:
         surf.phi[nb - 1 :] += (coef[..., :1] * np.cos(m) + coef[..., 1:] * np.sin(m)).sum(1)
         closed = surf.copy()
         res = boundary_enforce(closed, norm, omega0, tol=1e-10, z0=z0)
-        # the Newton leaves its last step, up to CLOSURE_TOL = 1e-13, unapplied,
-        # which moved 16x32 ghost rows by up to 1.4e-14: run it to round-off
-        with mock.patch.object(norms, "CLOSURE_TOL", 1e-15):
-            boundary_enforce(surf, newton, omega0, tol=1e-10, z0=z0)
+        boundary_enforce(surf, newton, omega0, tol=1e-10, z0=z0)
         assert np.abs(closed.phi[nb + 1] - surf.phi[nb + 1]).max() <= 1e-14
         assert res <= 1e-15
 

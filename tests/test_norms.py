@@ -1,13 +1,12 @@
 """Dual-gauge machinery: support solves, derived tensors, builtin catalogue."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capflow import expr as expr_mod, norms as norms_mod
+from capflow import expr as expr_mod
+from capflow.expr import jet_rows, triangle_matrices, triple_tensors
 from capflow.norms import (
     DUAL_MAX_ITER,
     DUAL_TOL,
@@ -17,9 +16,7 @@ from capflow.norms import (
     NormError,
     QUARTIC_A2_TEXT,
     QuarticGaugeNorm,
-    components_jet,
     fibonacci_sphere,
-    jet_components,
     make_norm,
     metric_components,
     solve_components,
@@ -80,7 +77,7 @@ class TestSupport:
     def test_kkt_stationarity(self):
         dirs = fibonacci_sphere(100)
         f_val, z, _, ok = A2.support_many(dirs)
-        grad = A2.gauge_jets(z, order=2).grad
+        grad = A2.gauge_jets(z, order=2)[1:4].T
         # x - s * Dgauge(z*) = 0 at the maximizer
         res = dirs - f_val[:, None] * grad
         assert np.abs(res).max() < 1e-8
@@ -103,8 +100,8 @@ class TestDuality:
         dirs = fibonacci_sphere(200)
         pts = 1.3 * dirs
         jets = A2.gauge_jets(pts, order=2)
-        euler1 = np.einsum("ni,ni->n", jets.grad, pts) - jets.val
-        euler2 = np.einsum("nij,nj->ni", jets.hess, pts)
+        euler1 = np.einsum("ni,ni->n", jets[1:4].T, pts) - jets[0]
+        euler2 = np.einsum("nij,nj->ni", triangle_matrices(jets[4:], 3), pts)
         assert np.abs(euler1).max() < 1e-8
         assert np.abs(euler2).max() < 1e-8
 
@@ -147,10 +144,10 @@ class TestTensors:
         pts = np.random.default_rng(1).normal(size=(100, 3))
         jh = hand.gauge_jets(pts, order=3)
         js = sym.gauge_jets(pts, order=3)
-        assert np.allclose(jh.val, js.val, atol=1e-13)
-        assert np.allclose(jh.grad, js.grad, atol=1e-13)
-        assert np.allclose(jh.hess, js.hess, atol=1e-12)
-        assert np.allclose(jh.third, js.third, atol=1e-11)
+        assert np.allclose(jh[0], js[0], atol=1e-13)
+        assert np.allclose(jh[1:4], js[1:4], atol=1e-13)
+        assert np.allclose(jh[4:10], js[4:10], atol=1e-12)
+        assert np.allclose(jh[10:], js[10:], atol=1e-11)
 
 
 class TestSupportHessian:
@@ -268,7 +265,7 @@ def bordered_support(norm, x, tol=DUAL_TOL):
 
     def residual(z, s):
         jet = norm.gauge_jets(z[None, :], order=2)
-        r = np.append(x - s * jet.grad[0], jet.val[0] - 1.0)
+        r = np.append(x - s * jet[1 : d + 1, 0], jet[0, 0] - 1.0)
         return jet, r, np.linalg.norm(r) / scale
 
     jet, r, rnorm = residual(z, s)
@@ -276,9 +273,9 @@ def bordered_support(norm, x, tol=DUAL_TOL):
         if rnorm <= tol:
             break
         jac = np.zeros((d + 1, d + 1))
-        jac[:d, :d] = -s * jet.hess[0]
-        jac[:d, d] = -jet.grad[0]
-        jac[d, :d] = jet.grad[0]
+        jac[:d, :d] = -s * triangle_matrices(jet[d + 1 :], d)[0]
+        jac[:d, d] = -jet[1 : d + 1, 0]
+        jac[d, :d] = jet[1 : d + 1, 0]
         delta = np.linalg.solve(jac, -r)
         step = 1.0
         for _ in range(30):
@@ -314,8 +311,8 @@ class TestEliminatedSolve:
         jets = norm.gauge_jets(z, order=2)
         # the solve stops once |(r_x, r_g)| <= DUAL_TOL * max(1, |x|)
         tol = DUAL_TOL * max(1.0, length)
-        r_x = xs - s[:, None] * jets.grad
-        assert np.abs(jets.val - 1.0).max() <= tol
+        r_x = xs - s[:, None] * jets[1 : norm.d + 1].T
+        assert np.abs(jets[0] - 1.0).max() <= tol
         assert np.linalg.norm(r_x, axis=1).max() <= tol
         # <x, z> - s = <r_x, z> + s * r_g by Euler's identity <Dgauge(z), z> = gauge(z)
         gap = np.abs(s - np.einsum("ni,ni->n", xs, z))
@@ -336,13 +333,13 @@ class TestEliminatedSolve:
         xs = np.array([direction(a, norm.d) for a in angles])
         _, z, _, _ = norm.support_many(xs)
         z0 = z * (1.0 + shift) + shift * np.roll(z, 1, axis=1)
-        jets0 = norm.gauge_components(np.ascontiguousarray(z0.T))
+        jets0 = norm.gauge_jets(z0)
         given_jets = norm.support_many(xs, z0=z0, jets0=jets0)
         recomputed = norm.support_many(xs, z0=z0)
         for a, b in zip(given_jets, recomputed):
             assert np.array_equal(a, b)
         # the caller's jets are not modified
-        assert np.array_equal(jets0, norm.gauge_components(np.ascontiguousarray(z0.T)))
+        assert np.array_equal(jets0, norm.gauge_jets(z0))
 
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 20))
     @settings(max_examples=50, deadline=None)
@@ -416,7 +413,7 @@ def gather_support(norm, xs, z0, jets0, tol=DUAL_TOL):
             z_try = za + step * dz
             s_try = sa + step * ds
             with np.errstate(all="ignore"):
-                jet_try = norm.gauge_components(z_try)
+                jet_try = norm.gauge_jets(z_try.T)
                 r_try, rnorm_try = residual_norm(xa, s_try, jet_try, scale[act])
             if np.all(np.isfinite(rnorm_try) & (rnorm_try <= rnorm[act])):
                 break
@@ -453,7 +450,7 @@ class TestFullArrayLoop:
                 z0[i] = z[i] * (1.0 + shift) + shift * np.roll(z[i], 1)
             elif start == "cold":
                 z0[i] = xs[i]
-        jets0 = norm.gauge_components(np.ascontiguousarray(z0.T))
+        jets0 = norm.gauge_jets(z0)
         at_max = np.array([start in ("converged", "nan") for _, start, _ in rows])
         jets0[:, at_max] = jets[:, at_max]
         nan_row = np.array([start == "nan" for _, start, _ in rows])
@@ -483,7 +480,7 @@ class TestFullArrayLoop:
         angles = [(0.3, 0.0, 1.0), (1.2, 0.0, 4.0), (2.9, 0.0, 2.0)]
         xs = np.array([direction(a, 3) for a in angles])
         z0 = xs * 1.03
-        jets0 = norm.gauge_components(np.ascontiguousarray(z0.T))
+        jets0 = norm.gauge_jets(z0)
         jets0[:, 1] = np.nan
         got = Norm.support_many(norm, xs, z0=z0, return_jets=True, jets0=jets0)
         assert got[3].tolist() == [True, False, True]
@@ -497,29 +494,38 @@ QUARTICS = {
     1.0: ("quartic_a2", QUARTIC_A2_TEXT),
     2.0: ("quartic_a2_prime", "((x^2+2*y^2+z^2)*(x^2+2*y^2)+z^4)^(1/4)"),
 }
+# one norm of each kind
+JET_NORMS = {"sphere": SPHERE, "ellipsoid": ELLIPSOID, **{
+    kind: SOLVE_NORMS[kind] for kind in ("quartic_a2", "quartic_a2_prime", "quartic_a3", "custom")}}
+SYMMETRIES = [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)]
 
 
 class TestComponentJets:
-    @given(c=st.sampled_from(sorted(QUARTICS)), angles=st.lists(DIRECTION, min_size=1, max_size=8),
-           length=st.floats(0.1, 10.0))
+    @given(kind=st.sampled_from(sorted(JET_NORMS)),
+           angles=st.lists(DIRECTION, min_size=1, max_size=8), length=st.floats(0.1, 10.0))
     @settings(max_examples=60, deadline=None)
-    def test_quartic_components_are_its_jets(self, c, angles, length):
-        norm = make_norm(QUARTICS[c][0])
+    def test_quartic_components_are_its_jets(self, kind, angles, length):
+        norm = JET_NORMS[kind]
         pts = length * np.array([direction(a, 3) for a in angles])
-        comps = norm.gauge_components(np.ascontiguousarray(pts.T))
-        for order in (2, 3):
-            jet = norm.gauge_jets(pts, order=order)
-            assert np.array_equal(comps, jet_components(jet))
-            assert np.array_equal(components_jet(comps, 3).hess, jet.hess)
+        order2, order3 = norm.gauge_jets(pts, order=2), norm.gauge_jets(pts, order=3)
+        assert order3.shape == (jet_rows(3, 3), len(pts))
+        # the order-2 jets are the leading rows of the order-3 jets
+        assert np.array_equal(order2, order3[: jet_rows(3, 2)])
+        # every dense expansion is symmetric bit for bit
+        for mat in (triangle_matrices(order3[4:10], 3), norm.metric_G_many(pts, jets=order2)):
+            assert np.array_equal(mat, mat.transpose(0, 2, 1))
+        for ten in (triple_tensors(order3[10:], 3), norm.tensor_Q_many(pts, jets=order3)):
+            for perm in SYMMETRIES:
+                assert np.array_equal(ten, ten.transpose(*perm))
 
     @given(c=st.sampled_from(sorted(QUARTICS)), angles=st.lists(DIRECTION, min_size=1, max_size=8),
            length=st.floats(0.1, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_quartic_components_match_the_expression_norm(self, c, angles, length):
         kind, text = QUARTICS[c]
-        pts = np.ascontiguousarray((length * np.array([direction(a, 3) for a in angles])).T)
-        hand = make_norm(kind).gauge_components(pts)
-        sym = make_norm("custom", f0_expr=text).gauge_components(pts)
+        pts = length * np.array([direction(a, 3) for a in angles])
+        hand = make_norm(kind).gauge_jets(pts)
+        sym = make_norm("custom", f0_expr=text).gauge_jets(pts)
         # value ~ |x|, gradient ~ 1, Hessian ~ 1/|x|
         scale = np.array([length] + [1.0] * 3 + [1.0 / length] * 6)[:, None]
         assert np.all(np.abs(hand - sym) <= 1e-12 * scale)
@@ -532,7 +538,7 @@ class TestComponentJets:
         s, z, _, ok, comps = norm.support_many(xs, return_jets=True)
         assert np.all(ok)
         # the returned jets are the gauge jets at the maximizers
-        again = norm.gauge_components(np.ascontiguousarray(z.T))
+        again = norm.gauge_jets(z)
         assert np.allclose(comps, again, rtol=1e-12, atol=1e-12)
         tol = DUAL_TOL * max(1.0, length)
         assert np.abs(comps[0] - 1.0).max() <= tol
@@ -582,7 +588,7 @@ class TestClosedFormDuality:
         xs = length * np.array(dirs)
         s, z, _, _, jets = assert_matches_generic(QUARTIC_NORMS[c], xs, return_jets=True)
         # the returned jets are the gauge jets at the maximizers
-        assert np.array_equal(jets, QUARTIC_NORMS[c].gauge_components(np.ascontiguousarray(z.T)))
+        assert np.array_equal(jets, QUARTIC_NORMS[c].gauge_jets(z))
 
     @pytest.mark.parametrize("c", sorted(QUARTIC_NORMS))
     def test_quartic_support_at_the_poles_horizon_and_branch_swap(self, c):
@@ -607,9 +613,7 @@ class TestClosedFormDuality:
         norm = SLICE_NORMS[kind]
         h = length * np.array([np.cos(azimuths), np.sin(azimuths)])
         z, comps = norm.slice_maximizers(h, omega0)
-        # the generic closure leaves its last step, up to CLOSURE_TOL, unapplied
-        with mock.patch.object(norms_mod, "CLOSURE_TOL", 1e-15):
-            z_ref, comps_ref = Norm.slice_maximizers(norm, h, omega0)
+        z_ref, comps_ref = Norm.slice_maximizers(norm, h, omega0)
         assert np.abs(z - z_ref).max() <= CLOSED_FORM_TOL
         assert np.abs(comps - comps_ref).max() <= CLOSED_FORM_TOL
         assert np.abs(z[:, 2] + omega0).max() <= 1e-15
@@ -628,8 +632,7 @@ class TestClosedFormDuality:
         assert np.array_equal(s, s_base + xs @ A3.eta)
         assert np.array_equal(z, z_base + A3.eta)
         # the jets at t = 1 are the ray-root jets there
-        jet = A3.gauge_jets(z, order=2)
-        assert np.abs(jets - jet_components(jet)).max() <= CLOSED_FORM_TOL
+        assert np.abs(jets - A3.gauge_jets(z, order=2)).max() <= CLOSED_FORM_TOL
 
     @pytest.mark.parametrize("norm", [A2, QUARTIC_NORMS[2.0], A3], ids=lambda n: n.name)
     def test_zero_nan_huge_and_tiny_directions(self, norm):

@@ -406,7 +406,7 @@ class TestCarriedJets:
         grid = HalfSphereGrid(2, 16, 32)
         b = geometry(smooth_surface(grid, seed), norm, omega0, anchor)
         # a cold solve steps every node, so its jets are those at the maximizers
-        recomputed = norm.gauge_components(np.ascontiguousarray(b.maximizers.T))
+        recomputed = norm.gauge_jets(b.maximizers)
         assert np.array_equal(b.maximizer_jets, recomputed)
         nxt = smooth_surface(grid, seed + 1)
         carried = geometry(nxt, norm, omega0, anchor, warm=b, dual_tol=1e-9)

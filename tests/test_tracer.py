@@ -62,3 +62,26 @@ def test_admissibility_check_spans_are_recorded():
     # leaving the tracer restores every patched name
     assert condition.condition_check is check
     assert norms.Norm.__dict__["support_hessian_many"] is hessian
+
+
+def ancestors(tracer, spans, rec):
+    names = []
+    while rec[tracer.PARENT] >= 0:
+        rec = spans[rec[tracer.PARENT]]
+        names.append(rec[tracer.NAME])
+    return names
+
+
+def test_builtin_jet_spans_nest_in_the_geometry_and_rim_closure():
+    # the closed-form dual solve and rim closure of the builtin quartic read
+    # their jets through gauge_jets, so each call is a span under its caller
+    tracer = load_tracer()
+    cfg = FlowConfig(norm=make_norm("quartic_a2"), omega0=-0.3, n_beta=16, n_lambda=32,
+                     t_end=0.01)
+    with tracer.Tracer() as t:
+        trace, _ = run(cfg)
+    assert trace.steps > 0
+    outer = {name for rec in t.spans if rec[tracer.NAME] == "norms.gauge_jets.quartic"
+             for name in ancestors(tracer, t.spans, rec)}
+    for name in ("surface.geometry", "flow.boundary_enforce"):
+        assert name in outer, name
