@@ -614,6 +614,8 @@ class TestClosedFormDuality:
         h = length * np.array([np.cos(azimuths), np.sin(azimuths)])
         z, comps = norm.slice_maximizers(h, omega0)
         z_ref, comps_ref = Norm.slice_maximizers(norm, h, omega0)
+        # the generic closure returns the jets at the points it returns
+        assert np.array_equal(comps_ref, norm.gauge_jets(z_ref, 2))
         assert np.abs(z - z_ref).max() <= CLOSED_FORM_TOL
         assert np.abs(comps - comps_ref).max() <= CLOSED_FORM_TOL
         assert np.abs(z[:, 2] + omega0).max() <= 1e-15
