@@ -56,7 +56,10 @@ def _battery(norm, omega0: float, grid: HalfSphereGrid, members=()):
 
 
 def _ratio_chain(unit, bundles, ks):
-    """(V_k ratio)^(1/(n+1-k)) - (V_0 ratio)^(1/(n+1)) per bundle and k."""
+    """(V_k ratio)^(1/(n+1-k)) - (V_0 ratio)^(1/(n+1)) per bundle and k, on
+    convex bundles."""
+    if any(float(b.kappaF.min()) <= 0.0 for b in bundles):
+        raise FlowError("battery surface is not convex")
     n = unit.surface.grid.n
     v0_unit = enclosed_volume(unit)
     vk_unit = {k: quermassintegral_interior(unit, k - 1) for k in ks}
@@ -103,16 +106,16 @@ def isoperimetric_slacks(norm, omega0: float, bundles=None):
 
 def af_slacks_n2(norm, omega0: float):
     """Higher-ratio chain slacks on a convex n = 2 battery."""
-    unit, bundles = _battery(norm, omega0, HalfSphereGrid(2, *BATTERY_GRID_N2),
-                             ((0.8, 0.0, 0), (1.25, 0.0, 0), (1.0, 0.03, 5)))
-    if any(float(b.kappaF.min()) <= 0.0 for b in bundles):
-        raise FlowError("battery surface is not convex")
-    return _ratio_chain(unit, bundles, RATIO_KS_N2)
+    battery = _battery(norm, omega0, HalfSphereGrid(2, *BATTERY_GRID_N2),
+                       ((0.8, 0.0, 0), (1.25, 0.0, 0), (1.0, 0.03, 5)))
+    return _ratio_chain(*battery, RATIO_KS_N2)
 
 
 def af_slacks_n3():
-    """Same chain on a coarse n = 3 convex battery (round norm, d = 4)."""
-    members = ((0.8, 0.0, 0), (1.3, 0.0, 0))
+    """Same chain on a coarse n = 3 convex battery (round norm, d = 4).  The
+    scaled caps give slack 0 by homogeneity; the perturbed cap is the member
+    that tests the inequality."""
+    members = ((0.8, 0.0, 0), (1.3, 0.0, 0), (1.0, 0.03, 5))
     battery = _battery(make_norm("sphere", dim=4), OMEGA0_N3,
                        HalfSphereGrid(3, *BATTERY_GRID_N3), members)
     return _ratio_chain(*battery, RATIO_KS_N3)

@@ -24,7 +24,7 @@ from . import CapflowError
 from .checks import SUITES
 from .condition import CONDITION_SAMPLES, ConditionError, condition_check
 from .expr import ExprError
-from .flow import INITIAL_PRESETS, FlowConfig, FlowError, FlowTrace, run
+from .flow import FlowConfig, FlowError, FlowTrace, run
 from .norms import NormError, make_norm
 from .wulff import WulffError, admissible_interval
 
@@ -163,8 +163,6 @@ def cmd_simulate(config_path: str) -> int:
         raise ConfigError("simulate runs the flow of surfaces in R^3: norm.dim must be 3")
     omega0 = _require_omega0(cfg, norm)
     out = _output_dir(cfg, config_path)
-    if "flow.initial" in cfg and cfg["flow.initial"] not in INITIAL_PRESETS:
-        raise ConfigError(f"flow.initial must be one of {', '.join(INITIAL_PRESETS)}")
     try:
         flow_cfg = FlowConfig(
             norm=norm, omega0=omega0, output_dir=out,

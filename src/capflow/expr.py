@@ -11,8 +11,12 @@ difference helper is provided for cross-checking.
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
+import math
+import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -22,6 +26,9 @@ import numpy as np
 from . import CapflowError
 
 VARIABLE_NAMES = ("x", "y", "z", "w")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# the numerals of the formula grammar; Python also reads 0x1, 1_0, 1j and True
+_NUMERAL = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
 
 
 class ExprError(ValueError, CapflowError):
@@ -29,7 +36,7 @@ class ExprError(ValueError, CapflowError):
 
 
 class ExprSyntaxError(ExprError):
-    """Malformed source text; carries the byte offset of the failure."""
+    """Malformed source text; carries the offset of the failure in it."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -86,151 +93,16 @@ class Expression:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser (precedence climbing)
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    seen_dot = True
-                j += 1
-            # exponent part like 1e-3
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(("num", source[i:j], i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("ident", source[i:j], i))
-            i = j
-        elif c in "+-*/^":
-            tokens.append(("op", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(("rparen", c, i))
-            i += 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], dim: int | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.dim_hint = dim
-        self.max_var = -1
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None):
-        tok = self.peek()
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            what = text if text is not None else kind
-            raise ExprSyntaxError(f"expected {what!r}, found {tok[1]!r}", tok[2])
-        return self.advance()
-
-    # expr := term {(+|-) term}
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            node = Bin(op, node, self.parse_term())
-        return node
-
-    # term := unary {(*|/) unary}
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.advance()[1]
-            node = Bin(op, node, self.parse_unary())
-        return node
-
-    # unary := '-' unary | power
-    def parse_unary(self):
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        if tok[0] == "op" and tok[1] == "+":
-            self.advance()
-            return self.parse_unary()
-        return self.parse_power()
-
-    # power := atom ['^' unary]  (right associative; binds above unary minus)
-    def parse_power(self):
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "^":
-            self.advance()
-            off = self.peek()[2]
-            exp_node = self.parse_unary()
-            frac = _fold_constant(exp_node)
-            if frac is None:
-                raise ExprSyntaxError("exponent must be a constant", off)
-            return Pow(base, frac)
-        return base
-
-    def parse_atom(self):
-        tok = self.advance()
-        kind, text, off = tok
-        if kind == "num":
-            return Const(float(text))
-        if kind == "ident":
-            if text == "sqrt":
-                self.expect("lparen")
-                arg = self.parse_expr()
-                self.expect("rparen")
-                return Sqrt(arg)
-            if text in VARIABLE_NAMES:
-                idx = VARIABLE_NAMES.index(text)
-                if self.dim_hint is not None and idx >= self.dim_hint:
-                    raise ExprSyntaxError(
-                        f"variable {text!r} exceeds dimension {self.dim_hint}", off
-                    )
-                self.max_var = max(self.max_var, idx)
-                return Var(idx)
-            raise ExprSyntaxError(f"unknown identifier {text!r}", off)
-        if kind == "lparen":
-            node = self.parse_expr()
-            self.expect("rparen")
-            return node
-        raise ExprSyntaxError(f"unexpected token {text!r}", off)
+# Parser: Python's own, on the source with ^ written as **
 
 
 def _fold_constant(node) -> Fraction | None:
-    """Reduce a constant subtree to an exact rational, or None."""
+    """Reduce a constant subtree to an exact rational, or None.
+
+    A power whose exact value would need more than about 1024 bits is
+    refused from the bit lengths, before it is computed."""
     if isinstance(node, Const):
-        return Fraction(node.value).limit_denominator(10**9)
+        return Fraction(node.value).limit_denominator(10**9) if math.isfinite(node.value) else None
     if isinstance(node, Neg):
         v = _fold_constant(node.arg)
         return None if v is None else -v
@@ -251,26 +123,85 @@ def _fold_constant(node) -> Fraction | None:
             return a / b
     if isinstance(node, Pow):
         a = _fold_constant(node.base)
-        if a is None or node.exponent.denominator != 1:
+        if a is None or node.exponent.denominator != 1 or (a == 0 and node.exponent < 0):
             return None
-        return a ** int(node.exponent)
+        n = int(node.exponent)
+        if abs(n) * (max(abs(a.numerator), a.denominator).bit_length() - 1) > 1024:
+            raise ExprError(f"constant power with exponent {n} exceeds 1024 bits")
+        return a**n
     return None
 
 
 def parse(source: str, dim: int | None = None) -> Expression:
     """Parse infix source text into an Expression.
 
-    Precedence: power > unary minus > multiplication/division > addition.
-    If dim is omitted it is inferred (4 when w occurs, else 3).
+    The grammar is Python's arithmetic with ^ for the power: numerals, the
+    variables x y z (w in dimension 4), + - * /, unary + and -, parentheses,
+    sqrt(...) and powers with a constant exponent.  Precedence: power >
+    unary minus > multiplication/division > addition; ^ is right
+    associative and its exponent may carry a sign (x^-2 is x^(-2)).  If dim
+    is omitted it is inferred (4 when w occurs, else 3).
     """
-    parser = _Parser(_tokenize(source), dim)
-    ast = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    if dim is None:
-        dim = 4 if parser.max_var >= 3 else 3
-    return Expression(ast, dim)
+    # Python's grammar is wider than ours: it reads "#" as a comment, "\" as
+    # a line join, "," as a call's trailing comma and non-ASCII identifiers
+    # folded to ASCII, and it rejects line breaks, indentation and the
+    # leading zeros of an integer (05)
+    text = "".join(" " if c.isspace() else c for c in source)
+    bad = re.search(r"\*\*|[#\\,\x00]|[^\x00-\x7f]", text)
+    if bad:
+        raise ExprSyntaxError(f"unexpected {bad[0]!r}", bad.start())
+    text = re.sub(r"(?<![\w.])(?<![eE][+-])0+(?=\d)", lambda m: " " * len(m[0]), text)
+    lead = len(text) - len(text.lstrip())
+    py = text[lead:].replace("^", "**")
+    # the source offset of each offset into py
+    pos = [i for i in range(lead, len(text)) for _ in range(1 + (text[i] == "^"))]
+    pos.append(len(source))
+
+    def convert(node):
+        at, end = node.col_offset, node.end_col_offset
+        if isinstance(node, ast.Constant) and re.fullmatch(_NUMERAL, py[at:end]):
+            return Const(float(py[at:end]))
+        if isinstance(node, ast.Name) and node.id in VARIABLE_NAMES[:dim]:
+            return Var(VARIABLE_NAMES.index(node.id))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            arg = convert(node.operand)
+            return Neg(arg) if isinstance(node.op, ast.USub) else arg
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, exponent = convert(node.left), _fold_constant(convert(node.right))
+            if exponent is None:
+                raise ExprSyntaxError("exponent must be a constant", pos[node.right.col_offset])
+            return Pow(base, exponent)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            # a left-associative chain (a long sum) is one loop, not a recursion
+            chain = []
+            while isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+                chain.append(node)
+                node = node.left
+            tree = convert(node)
+            for link in reversed(chain):
+                tree = Bin(_BINARY[type(link.op)], tree, convert(link.right))
+            return tree
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sqrt" and node.func.col_offset == at
+                and len(node.args) == 1 and not node.keywords):
+            return Sqrt(convert(node.args[0]))
+        if isinstance(node, ast.Name) and node.id in VARIABLE_NAMES:
+            raise ExprSyntaxError(f"variable {node.id!r} exceeds dimension {dim}", pos[at])
+        raise ExprSyntaxError(f"unexpected {source[pos[at]:pos[end]]!r}", pos[at])
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SyntaxWarning on inputs like "1if"
+            tree = ast.parse(py, mode="eval").body
+        if dim is None:
+            dim = 4 if any(isinstance(n, ast.Name) and n.id == "w" for n in ast.walk(tree)) else 3
+        return Expression(convert(tree), dim)
+    except SyntaxError as exc:
+        at = min(max((exc.offset or 1) - 1, 0), len(py))
+        raise ExprSyntaxError(exc.msg, pos[at]) from None
+    except (RecursionError, MemoryError):
+        # MemoryError is how the parser reports a stack too deep to parse
+        raise ExprError("formula nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +386,12 @@ def evaluate(expr: Expression, points: np.ndarray, order: int = 3) -> np.ndarray
         raise ValueError(f"points must have shape (N,{expr.dim})")
     if not np.all(np.isfinite(pts)):
         raise EvalDomainError("non-finite evaluation point")
-    return _eval_node(expr.ast, pts, jet_rows(expr.dim, order))
+    try:
+        return _eval_node(expr.ast, pts, jet_rows(expr.dim, order))
+    except (RecursionError, OverflowError) as exc:
+        # a tree too deep for the interpreter's stack, or an exponent past
+        # the float range
+        raise ExprError(f"cannot evaluate the formula: {exc}") from None
 
 
 @dataclass

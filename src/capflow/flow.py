@@ -44,6 +44,9 @@ class BlowUpError(FlowError):
     """Non-finite state or runaway amplitude during stepping."""
 
 
+INITIAL_PRESETS = ("perturbed-cap", "cap")
+
+
 @dataclass
 class FlowConfig:
     norm: Norm
@@ -74,6 +77,8 @@ class FlowConfig:
             (self.snapshot_every >= 0, "snapshot_every must not be negative"),
             (abs(self.epsilon) < 1.0, "epsilon must lie in (-1, 1)"),
             (self.seed >= 0, "seed must not be negative"),
+            (self.initial in INITIAL_PRESETS,
+             f"initial must be one of {', '.join(INITIAL_PRESETS)}"),
             (self.dt_override is None or self.dt_override > 0.0,
              "dt_override must be positive"),
         ):
@@ -121,9 +126,17 @@ def perturbation_field(grid: HalfSphereGrid, epsilon: float, seed: int) -> np.nd
     """Low-harmonic radial perturbation vanishing to second order at the rim.
 
     Returns the multiplicative factor (1 + epsilon * P) on the full node
-    lattice (rows 0..n_beta), max |P| = 1.
+    lattice (rows 0..n_beta; for n = 3 the cell-centred lattice), max |P| = 1.
+    For n = 3, P = cos(beta)^2 (a0 + a1 sin(beta) cos(lam1) + a2 sin(beta)
+    sin(lam1) cos(lam2) + a3 sin(beta) sin(lam1) sin(lam2)).
     """
     rng = np.random.default_rng(seed)
+    if grid.n == 3:
+        a = rng.uniform(-1.0, 1.0, size=4)
+        u = grid.frame_u
+        p = u[:, 3] ** 2 * (a[0] + u[:, [2, 0, 1]] @ a[1:])
+        p = p.reshape(grid.n_beta, grid.n_lambda, grid.n_lambda)
+        return 1.0 + epsilon * p / np.abs(p).max()
     b = grid.betas[:, None]
     l = grid.lambdas[None, :]
     p = np.zeros((grid.n_beta + 1, grid.n_lambda))
@@ -135,9 +148,6 @@ def perturbation_field(grid: HalfSphereGrid, epsilon: float, seed: int) -> np.nd
     p *= np.cos(b) ** 2
     p /= np.abs(p).max()
     return 1.0 + epsilon * p
-
-
-INITIAL_PRESETS = ("perturbed-cap", "cap")
 
 
 def initial_surface(config: FlowConfig, anchor: AnchorVector) -> GraphSurface:
@@ -155,8 +165,6 @@ def _initial_state(config: FlowConfig, anchor: AnchorVector):
         factor = perturbation_field(grid, config.epsilon, config.seed)
         surf.phi[: grid.n_beta + 1] += np.log(factor)
         boundary_enforce(surf, config.norm, config.omega0, config.boundary_tol)
-    elif config.initial != "cap":
-        raise FlowError(f"unknown initial preset {config.initial!r}")
     return surf, unit_radial
 
 

@@ -247,7 +247,9 @@ class Norm:
                 z_try = z + step * dz
                 s_try = s + step * ds
                 with np.errstate(all="ignore"):
-                    jet_try = self.gauge_jets(z_try.T)
+                    # a kept non-finite point is evaluated at a stand-in, as
+                    # an expression gauge rejects it; copyto restores it below
+                    jet_try = self.gauge_jets(np.where(keep & ~np.isfinite(z_try), 1.0, z_try).T)
                     r_try, rnorm_try = residual_norm(x, s_try, jet_try, scale)
                 if np.all((np.isfinite(rnorm_try) & (rnorm_try <= rnorm)) | keep):
                     break

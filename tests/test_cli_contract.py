@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,39 @@ def test_commands_run_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("formula", [
+    "(" * 1000 + "sqrt(x^2+y^2+z^2)" + ")" * 1000,
+    "+".join(["sqrt(x^2+y^2+z^2)/2000"] * 2000),
+    "sqrt(x^2+y^2+z^2)^9^9^9",
+], ids=["nest", "sum", "tower"])
+def test_formula_too_deep_or_too_large_exit_two(tmp_path, capsys, formula):
+    # a 1,000-deep nest, a 2,000-term sum and a power tower: rejected at load
+    path = write(tmp_path, "f.cfg", f"norm.kind = custom\nnorm.f0_expr = {formula}\n")
+    start = time.perf_counter()
+    assert main(["norm-info", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_new_modules():
+    # nearly all of the set-up time is this import: beyond numpy's own
+    # modules it may load only these
+    allowed = {"__future__", "_decimal", "argparse", "copy", "dataclasses", "decimal",
+               "fractions", "gettext"}
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import capflow.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m for m in proc.stdout.split() if m.split(".")[0] != "capflow"}
+    assert loaded <= allowed, sorted(loaded - allowed)
 
 
 def test_quartic_expression_passes_the_homogeneity_check():

@@ -1,13 +1,24 @@
 """Parser and jet arithmetic tests for the expression module."""
 
+import time
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.expr import (
+    Bin,
+    Const,
     EvalDomainError,
+    Expression,
+    ExprError,
     ExprSyntaxError,
+    Neg,
+    Pow,
+    Var,
     evaluate,
     finite_difference_jet,
     jet_rows,
@@ -47,6 +58,92 @@ class TestParsing:
         parse("x+y+z+w", dim=4)
         with pytest.raises(ExprSyntaxError):
             parse("w", dim=3)
+
+
+# inputs where Python's grammar, which parse reads the source with, differs
+# from the formula grammar, each with the outcome of the hand-written parser
+# that parse replaced: a tree, or None for ExprSyntaxError
+EDGE_INPUTS = [
+    ("x\n+y", Bin("+", Var(0), Var(1))),
+    ("x\\\n+y", None),
+    ("05", Const(5.0)),
+    ("00.5", Const(0.5)),
+    ("1e05", Const(1e5)),
+    ("0x1", None),
+    ("1_0", None),
+    ("1j", None),
+    ("True", None),
+    ("x # c", None),
+    ("x**y", None),
+    ("x^^2", None),
+    ("x % y", None),
+    ("x // y", None),
+    ("x if y else z", None),
+    ("sqrt(x, y)", None),
+    ("abs(x)", None),
+    ("x.real", None),
+    ("x[0]", None),
+    ("w", None),
+    # Python reads these as a call with a trailing comma, a parenthesized
+    # callee, a non-ASCII identifier folded to x, and a warning-raising numeral
+    ("sqrt(x,)", None),
+    ("(sqrt)(x)", None),
+    ("\U0001d465", None),
+    ("1if", None),
+    ("\t x ^ -2", Pow(Var(0), Fraction(-2))),
+]
+
+
+@pytest.mark.parametrize("source,tree", EDGE_INPUTS)
+def test_edge_inputs_keep_their_outcome(source, tree, capfd):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if tree is None:
+            with pytest.raises(ExprSyntaxError) as info:
+                parse(source, dim=3)
+            assert 0 <= info.value.offset <= len(source)
+        else:
+            assert parse(source, dim=3) == Expression(tree, 3)
+    # nothing is printed or warned, though Python warns of "1if"
+    assert not caught and capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("source", ["x^(0^(-1))", "x^1e999"])
+def test_unfoldable_exponent_is_a_syntax_error(source):
+    # the hand-written parser raised ZeroDivisionError and OverflowError here
+    with pytest.raises(ExprSyntaxError, match="exponent must be a constant"):
+        parse(source, dim=3)
+
+
+class TestLimits:
+    def test_huge_constant_power_is_refused_before_it_is_computed(self):
+        start = time.perf_counter()
+        with pytest.raises(ExprError, match="1024 bits"):
+            parse("x^9^9^9", dim=3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_refusal_counts_bits_not_exponents(self):
+        assert parse("x^(2^1024/2^1023)", dim=3).ast == Pow(Var(0), Fraction(2))
+        assert parse("x^(1^(10^9))", dim=3).ast == Pow(Var(0), Fraction(1))
+
+    @pytest.mark.parametrize("source", ["x" + "+x" * 9999, "-" * 5000 + "x", "x" + "^1" * 3000],
+                             ids=["sum", "unary", "power"])
+    def test_too_deep_to_parse_is_an_expr_error(self, source):
+        with pytest.raises(ExprError, match="nested too deeply"):
+            parse(source, dim=3)
+
+    def test_too_deep_to_evaluate_is_an_expr_error(self):
+        tree = Var(0)
+        for _ in range(5000):
+            tree = Neg(tree)
+        with pytest.raises(ExprError, match="cannot evaluate"):
+            evaluate(Expression(tree, 3), np.ones((1, 3)))
+
+    def test_sum_as_long_as_the_evaluator_reaches_parses(self):
+        # a left-associative chain is converted by a loop, so the tree depth
+        # the evaluator reaches, not the parser, bounds a long sum
+        expr = parse("x" + "+x" * 799, dim=3)
+        assert evaluate(expr, np.ones((1, 3)))[0, 0] == 800.0
 
 
 class TestJets:

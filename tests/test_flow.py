@@ -24,7 +24,7 @@ from capflow.flow import (
     step,
     time_step,
 )
-from capflow.checks import static_cap_bundle
+from capflow.checks import af_slacks_n3, static_cap_bundle
 from capflow.norms import QUARTIC_A2_TEXT, Norm, QuadraticNorm, make_norm
 from capflow.surface import GraphSurface, HalfSphereGrid, enclosed_volume, geometry
 from capflow.wulff import CapillaryWulffShape, anchor_vector
@@ -43,8 +43,8 @@ class TestConfig:
             FlowConfig(norm=SPHERE, omega0=0.0, n_beta=8)
 
     def test_unknown_initial(self):
-        cfg = FlowConfig(norm=SPHERE, omega0=0.0, initial="vortex")
         with pytest.raises(FlowError):
+            cfg = FlowConfig(norm=SPHERE, omega0=0.0, initial="vortex")
             initial_surface(cfg, anchor_vector(SPHERE, 0.0))
 
 
@@ -67,6 +67,21 @@ class TestPerturbation:
         assert not np.array_equal(
             perturbation_field(grid, 0.1, 1), perturbation_field(grid, 0.1, 2)
         )
+
+    def test_n3_field_is_normalized_and_flat_at_the_rim(self):
+        grid = HalfSphereGrid(3, 16, 32)
+        p = perturbation_field(grid, 0.03, 5)
+        assert p.shape == (16, 32, 32)
+        assert np.abs(p - 1.0).max() == pytest.approx(0.03, abs=1e-15)
+        # cos^2 envelope: O(dbeta^2) on the last cell ring
+        assert np.abs(p[-1] - 1.0).max() < 0.01 * 0.03
+
+    def test_n3_ratio_chain_has_a_member_off_the_equality_case(self):
+        # the scaled caps give 0 by homogeneity; the perturbed cap does not
+        slacks = af_slacks_n3()
+        assert len(slacks) == 6
+        assert max(abs(v) for v in slacks[:4]) < 1e-12
+        assert min(slacks[4:]) > 1e-5
 
 
 class TestBoundarySolve:

@@ -472,10 +472,11 @@ class TestFullArrayLoop:
         assert not got[3][nan_row].any()
 
 
-    @pytest.mark.parametrize("kind", ["quartic_a2", "quartic_a2_prime"])
+    @pytest.mark.parametrize("kind", ["quartic_a2", "quartic_a2_prime", "custom"])
     def test_a_nan_start_point_is_left_unconverged(self, kind):
         # NaN jets at one start point give that row a non-finite metric; the
-        # row is never above tol, so it must not reach the metric check
+        # row is never above tol, so it must not reach the metric check, and
+        # the expression gauge, which rejects a NaN point, never sees it
         norm = SOLVE_NORMS[kind]
         angles = [(0.3, 0.0, 1.0), (1.2, 0.0, 4.0), (2.9, 0.0, 2.0)]
         xs = np.array([direction(a, 3) for a in angles])
