@@ -99,10 +99,15 @@ class Expression:
 def _fold_constant(node) -> Fraction | None:
     """Reduce a constant subtree to an exact rational, or None.
 
-    A power whose exact value would need more than about 1024 bits is
-    refused from the bit lengths, before it is computed."""
+    A float reads as the simplest fraction of denominator at most 1e9 that
+    rounds back to it (0.1 is 1/10), else as its exact binary value.  A
+    power whose exact value would need more than about 1024 bits is refused
+    from the bit lengths, before it is computed."""
     if isinstance(node, Const):
-        return Fraction(node.value).limit_denominator(10**9) if math.isfinite(node.value) else None
+        if not math.isfinite(node.value):
+            return None
+        limited = Fraction(node.value).limit_denominator(10**9)
+        return limited if float(limited) == node.value else Fraction(node.value)
     if isinstance(node, Neg):
         v = _fold_constant(node.arg)
         return None if v is None else -v

@@ -12,9 +12,10 @@ a horizontal slice of the ball; the squared-gauge Hessian metric; its
 third-derivative tensor; and the curvature matrix of the support function.
 The builtin gauges give the support in closed form (quadric and quartic
 gauges directly, shifted gauges from their base), and the quadric and quartic
-gauges the rim maximizers too; a custom gauge takes the generic Newton solves,
-the support one eliminated through the metric and run on the component
-arrays, and a shifted gauge the generic rim closure.
+gauges the rim maximizers and the metric at the maximizers too; a custom
+gauge takes the generic Newton solves, the support one eliminated through the
+metric and run on the component arrays, and a shifted gauge the generic rim
+closure and the metric from its jets.
 """
 
 from __future__ import annotations
@@ -263,6 +264,24 @@ class Norm:
             return s, z, iterations, converged
         return s, z, iterations, converged, jet
 
+    def dual_metric(self, nu: np.ndarray, z0: np.ndarray | None = None,
+                    tol: float = DUAL_TOL, jets0: np.ndarray | None = None):
+        """Support values, maximizers (N, d), converged mask, the metric G at
+        the maximizers as its upper triangle (d(d+1)/2, N), and the order-2
+        jets there, for the directions nu (N, d); z0 and jets0 start the solve
+        as in support_many.  This body reads G from the jets of the support
+        solve; the quadric and quartic gauges override it by a closed form,
+        which ignores z0, tol and jets0 and returns None for the jets."""
+        s, z, _, ok, jets = self.support_many(nu, z0=z0, tol=tol, return_jets=True, jets0=jets0)
+        return s, z, ok, metric_components(jets, self.d), jets
+
+    def metric_times(self, metric: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """G t for the d = 3 metrics of dual_metric, metric (6, N) and t (3, N)."""
+        g = metric
+        return np.stack((g[0] * t[0] + g[1] * t[1] + g[2] * t[2],
+                         g[1] * t[0] + g[3] * t[1] + g[4] * t[2],
+                         g[2] * t[0] + g[4] * t[1] + g[5] * t[2]))
+
     def slice_maximizers(self, h: np.ndarray, omega0: float, z0: np.ndarray | None = None):
         """Rim maximizers on the unit ball's slice z_3 = -omega0 (d = 3).
 
@@ -453,6 +472,7 @@ class QuadraticNorm(Norm):
         super().__init__(m.shape[0], name=name)
         self.m = m
         self.m_inv = np.linalg.inv(m)
+        self._m_tri = m[layout(self.d).pi, layout(self.d).pj][:, None]
         if self.d == 3:
             # the rim closure's constants: A^-1 of the horizontal block A, A^-1 m
             # for its column m, and s = M_33 - m^T A^-1 m
@@ -499,6 +519,15 @@ class QuadraticNorm(Norm):
         if not return_jets:
             return val, z, 0, ok
         return val, z, 0, ok, self.gauge_jets(z)
+
+    def dual_metric(self, nu, z0=None, tol=DUAL_TOL, jets0=None):
+        """Closed form: G = M at every point, its triangle broadcast over the
+        directions."""
+        s, z, _, ok = self.support_many(nu)
+        return s, z, ok, np.broadcast_to(self._m_tri, (len(self._m_tri), len(s))), None
+
+    def metric_times(self, metric, t):
+        return self.m @ t
 
 
 class ExpressionNorm(Norm):
@@ -716,6 +745,31 @@ class QuarticGaugeNorm(Norm):
         (u, k) -> (1/u, 1/k), so past |k| = 1 it is solved for 1/u.  The
         maximizer is the point (nu_x, nu_y / c, nu_z A/B) scaled onto the unit
         level set, with A/B = (2 + u^2) / (1 + 2u^2)."""
+        s, z, ok = self._support_components(xs)
+        if not return_jets:
+            return s, np.ascontiguousarray(z.T), 0, ok
+        return s, np.ascontiguousarray(z.T), 0, ok, self.gauge_jets(z.T)
+
+    def dual_metric(self, nu, z0=None, tol=DUAL_TOL, jets0=None):
+        """Closed form: G = D2(gauge^2 / 2) = D2p / (4 sqrt(p)) - Dp Dp^T /
+        (8 p^(3/2)) for p = gauge^4, and p = 1 at the maximizer z = (x, y, w).
+        With q = x^2 + c y^2, r = 2q + w^2 and b = q + 2w^2, Dp = 2 (x r,
+        c y r, w b), and the triangle of G reads
+
+            (a x^2 + r/2, a c x y, e x w, a c^2 y^2 + c r/2, e c y w,
+             (3 - b^2/2) w^2 + q/2),   a = 2 - r^2/2, e = 1 - r b/2."""
+        s, z, ok = self._support_components(nu)
+        x, y, w = z
+        cy, ww = self.c * y, w * w
+        q = x * x + cy * y
+        r, b = q + q + ww, q + ww + ww
+        a, e, half_r = 2.0 - 0.5 * r * r, 1.0 - 0.5 * r * b, 0.5 * r
+        metric = np.stack((a * x * x + half_r, a * x * cy, e * x * w, a * cy * cy + self.c * half_r,
+                           e * cy * w, (3.0 - 0.5 * b * b) * ww + 0.5 * q))
+        return s, np.ascontiguousarray(z.T), ok, metric, None
+
+    def _support_components(self, xs):
+        """support_many's values, maximizers (3, N) and converged mask."""
         nx, ny, nz = np.asarray(xs, dtype=float).T
         # by homogeneity from x / max|x_i|, as in f0: no fourth power of a
         # huge or tiny direction overflows or underflows
@@ -736,10 +790,7 @@ class QuarticGaugeNorm(Norm):
             val = np.sqrt(np.sqrt((q + zz) * q + zz * zz))
             z = np.stack((nx / val, ny_c / val, z3 / val))
             s = scale * (q + nz * z3) / val
-        ok = np.isfinite(s)
-        if not return_jets:
-            return s, np.ascontiguousarray(z.T), 0, ok
-        return s, np.ascontiguousarray(z.T), 0, ok, self.gauge_jets(z.T)
+        return s, z, np.isfinite(s)
 
     def slice_maximizers(self, h, omega0, z0=None):
         """Closed form: the slice z_3 = -omega0 is the ellipse q = q* with

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import CapflowError
-from .norms import Norm, metric_components, triangle_matrices
+from .norms import Norm, triangle_matrices
 from .wulff import AnchorVector, CapillaryWulffShape, TranslatedNorm, anchor_vector
 
 
@@ -202,7 +202,7 @@ class GeometryBundle:
     HF: np.ndarray            # sum of kappaF
     f: np.ndarray             # flow speed
     maximizers: np.ndarray
-    maximizer_jets: np.ndarray  # order-2 gauge jets at the maximizers, component-major
+    maximizer_jets: np.ndarray | None  # order-2 gauge jets at the maximizers, or None
     parts: dict | None = None
 
     @cached_property
@@ -338,13 +338,6 @@ def _frame_data_n3(surface: GraphSurface):
             grid.frame_u, grid.frame_tangents)
 
 
-def _metric_times(g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """G t for symmetric 3x3 metrics given by their triangles g (6, N), t (3, N)."""
-    return np.stack((g[0] * t[0] + g[1] * t[1] + g[2] * t[2],
-                     g[1] * t[0] + g[3] * t[1] + g[4] * t[2],
-                     g[2] * t[0] + g[4] * t[1] + g[5] * t[2]))
-
-
 def _elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
     """Normalized elementary symmetric functions H_0..H_n of the rows."""
     n = kappa.shape[1]
@@ -371,8 +364,10 @@ def geometry(
 ) -> GeometryBundle:
     """Full pointwise geometry of the graph surface under the given norm.
 
-    warm, a bundle of a nearby surface on the same grid, starts the dual
-    solve from its maximizers and their gauge jets.
+    The metric G at the Cahn-Hoffman points comes from norm.dual_metric:
+    M for a quadric gauge, a closed form for the quartic, the gauge jets of
+    the support solve otherwise.  warm, a bundle of a nearby surface on the
+    same grid, starts the dual solve from its maximizers and their jets.
     """
     grid = surface.grid
     n = grid.n
@@ -394,12 +389,9 @@ def geometry(
         v = np.sqrt(1.0 + np.sum(p**2, axis=1))
         nu = (u - (p[:, :, None] * frame).sum(axis=1)) / v[:, None]
     z0, jets0 = (None, None) if warm is None else (warm.maximizers, warm.maximizer_jets)
-    f_val, xi, _, ok, xi_jets = norm.support_many(
-        nu, z0=z0, tol=dual_tol, return_jets=True, jets0=jets0
-    )
+    f_val, xi, ok, G_xi, xi_jets = norm.dual_metric(nu, z0, dual_tol, jets0)
     if not np.all(ok):
         raise SurfaceError(f"dual solve failed at {int(np.sum(~ok))} nodes")
-    G_xi = metric_components(xi_jets, n + 1)
     u_hat = rho / (v * f_val)
     pairing = (nu @ anchor.e_f) / f_val
     denom = 1.0 + omega0 * pairing
@@ -408,8 +400,8 @@ def geometry(
         # coordinate tangents T_i = rho (f_i u + e_i); HF = tr(ghat^-1 hhat)
         T1 = rho * (f1 * u + e1)
         T2 = rho * (f2 * u + e2)
-        GT2 = _metric_times(G_xi, T2)
-        g11 = (T1 * _metric_times(G_xi, T1)).sum(axis=0)
+        GT2 = norm.metric_times(G_xi, T2)
+        g11 = (T1 * norm.metric_times(G_xi, T1)).sum(axis=0)
         g12 = (T1 * GT2).sum(axis=0)
         g22 = (T2 * GT2).sum(axis=0)
         # h = (rho / v) (I + p p^T - H) by components

@@ -122,6 +122,26 @@ class TestLimits:
             parse("x^9^9^9", dim=3)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("source, want", [
+        ("x^0.1", Fraction(1, 10)), ("x^(0.1+0.2)", Fraction(3, 10)),
+        ("x^(1/3)", Fraction(1, 3)), ("x^2.5", Fraction(5, 2)),
+        # no fraction of denominator <= 1e9 rounds back to these: exact binary
+        ("x^1e-12", Fraction(1e-12)), ("x^2.0000000001", Fraction(2.0000000001)),
+    ])
+    def test_float_exponent_reads_back_to_its_value(self, source, want):
+        assert parse(source, dim=3).ast == Pow(Var(0), want)
+
+    @pytest.mark.parametrize("value", [1e-12, 0.1234567890123, 1e-300, 123456.789012345,
+                                       2.0**-60, 0.3333333333])
+    def test_folded_float_rounds_back_to_the_float(self, value):
+        exponent = parse(f"x^{value!r}", dim=3).ast.exponent
+        assert exponent != 0 and float(exponent) == value
+
+    @given(st.floats(1e-300, 1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float_exponent_rounds_back(self, value):
+        assert float(parse(f"x^{value!r}", dim=3).ast.exponent) == value
+
     def test_refusal_counts_bits_not_exponents(self):
         assert parse("x^(2^1024/2^1023)", dim=3).ast == Pow(Var(0), Fraction(2))
         assert parse("x^(1^(10^9))", dim=3).ast == Pow(Var(0), Fraction(1))

@@ -15,6 +15,7 @@ from capflow.norms import (
     Norm,
     NormError,
     QUARTIC_A2_TEXT,
+    QuadraticNorm,
     QuarticGaugeNorm,
     fibonacci_sphere,
     make_norm,
@@ -655,3 +656,61 @@ class TestClosedFormDuality:
             s_f, z_f, _, ok_f = norm.support_many(factor * xs)
             assert np.all(ok_f)
             assert np.array_equal(s_f, factor * want[0]) and np.array_equal(z_f, want[1])
+
+
+# -- the closed-form metric at the maximizers --------------------------------
+
+
+def rotated_quadric() -> QuadraticNorm:
+    """sqrt(z^T M z), M = R diag(1, 1/2, 2) R^T with R a turn about (1, 1, 1)."""
+    axis = np.ones(3) / np.sqrt(3.0)
+    k = np.cross(np.eye(3), axis)
+    rot = np.eye(3) + np.sin(0.8) * k + (1.0 - np.cos(0.8)) * k @ k
+    return QuadraticNorm(rot @ np.diag([1.0, 0.5, 2.0]) @ rot.T, name="rotated")
+
+
+METRIC_NORMS = {
+    "sphere": SPHERE, "ellipsoid": ELLIPSOID,
+    "ellipsoid_flat": make_norm("ellipsoid", [0.3, 2.0, 1.1]), "rotated": rotated_quadric(),
+    "quartic_a2": A2, "quartic_a2_prime": QUARTIC_NORMS[2.0],
+}
+
+
+class TestClosedFormMetric:
+    @given(kind=st.sampled_from(sorted(METRIC_NORMS)),
+           angles=st.lists(DIRECTION, min_size=1, max_size=16),
+           length=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_metric_is_the_jets_metric_at_the_maximizers(self, kind, angles, length, seed):
+        norm = METRIC_NORMS[kind]
+        xs = length * np.array([direction(a, 3) for a in angles])
+        s, z, ok, metric, jets = norm.dual_metric(xs)
+        assert jets is None and np.all(ok)
+        s_ref, z_ref, _, _ = norm.support_many(xs)
+        assert np.array_equal(s, s_ref) and np.array_equal(z, z_ref)
+        want = metric_components(norm.gauge_jets(z), 3)
+        scale = np.abs(want).max(axis=0)
+        assert metric.shape == want.shape
+        assert np.all(np.abs(metric - want) <= 1e-13 * scale)
+        t = np.random.default_rng(seed).standard_normal((3, len(xs)))
+        got = norm.metric_times(metric, t)
+        product = np.einsum("nij,jn->in", triangle_matrices(metric, 3), t)
+        assert np.all(np.abs(got - product) <= 1e-15 * scale * np.abs(t).sum(axis=0))
+
+    def test_quadric_metric_is_m_in_every_dimension(self):
+        for norm in (make_norm("ellipsoid", [1.0, 2.0, 0.5, 3.0], dim=4), rotated_quadric()):
+            d = norm.d
+            xs = np.random.default_rng(d).standard_normal((5, d))
+            metric = norm.dual_metric(xs)[3]
+            assert metric.shape == (d * (d + 1) // 2, 5)
+            assert np.array_equal(triangle_matrices(metric, d), np.broadcast_to(norm.m, (5, d, d)))
+
+    @pytest.mark.parametrize("kind", ["custom", "quartic_a3"])
+    def test_generic_metric_reads_the_solve_jets(self, kind):
+        norm = SOLVE_NORMS[kind]
+        xs = np.random.default_rng(7).standard_normal((12, 3))
+        s, z, ok, metric, jets = norm.dual_metric(xs)
+        want = norm.support_many(xs, return_jets=True)
+        for got, ref in zip((s, z, ok, jets), (want[0], want[1], want[3], want[4])):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(metric, metric_components(jets, 3))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capflow.norms import make_norm
+from capflow.norms import QUARTIC_A2_TEXT, make_norm
 from capflow.surface import (
     _d1,
     _d1_edge,
@@ -394,20 +394,75 @@ class TestLeanKernel:
             assert getattr(b, name) is getattr(b, name), name
 
 
-class TestCarriedJets:
-    FIELDS = ("nu", "v", "rho", "F", "nu_F", "u_hat", "pairing", "HF", "f", "maximizers",
-              "maximizer_jets", "kappaF", "diffusion_max")
+BUILTIN_CLOSED = {"sphere": (SPHERE, -0.5),
+                  "ellipsoid": (make_norm("ellipsoid", [1.2, 0.8, 1.0]), -0.3),
+                  "quartic_a2": (A2, -0.3),
+                  "quartic_a2_prime": (make_norm("quartic_a2_prime"), 0.2)}
+# the gauges whose metric comes from the jets of the support solve
+JET_CARRIERS = {"custom": (make_norm("custom", f0_expr=QUARTIC_A2_TEXT), -0.3),
+                "quartic_a3": (make_norm("quartic_a3", [0.3]), -0.2)}
 
-    @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from([0, 1]))
-    @settings(max_examples=10, deadline=None)
-    def test_carried_jets_equal_recomputed_ones(self, seed, case):
-        norm, omega0 = TestLeanKernel.CASES[case]
+
+def counted_jets(monkeypatch, norm):
+    """Count the norm's gauge_jets calls from here on."""
+    calls = []
+    original = norm.gauge_jets
+    monkeypatch.setattr(norm, "gauge_jets", lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
+class TestClosedFormMetric:
+    FIELDS = ("nu", "v", "rho", "F", "nu_F", "u_hat", "pairing", "HF", "f", "maximizers",
+              "kappaF", "diffusion_max")
+
+    @pytest.mark.parametrize("kind", sorted(BUILTIN_CLOSED) + sorted(JET_CARRIERS))
+    def test_geometry_evaluates_jets_only_for_jet_carriers(self, kind, monkeypatch):
+        norm, omega0 = {**BUILTIN_CLOSED, **JET_CARRIERS}[kind]
+        anchor = anchor_vector(norm, omega0)
+        grid = HalfSphereGrid(2, 16, 32)
+        # the shifted gauge reads its jets from its base
+        calls = counted_jets(monkeypatch, getattr(norm, "base", norm))
+        cold = geometry(smooth_surface(grid, 3), norm, omega0, anchor)
+        geometry(smooth_surface(grid, 4), norm, omega0, anchor, warm=cold, dual_tol=1e-9)
+        if kind in BUILTIN_CLOSED:
+            assert len(calls) == 0
+        else:
+            assert len(calls) >= 1
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(BUILTIN_CLOSED)))
+    @settings(max_examples=12, deadline=None)
+    def test_closed_forms_carry_no_jets_and_ignore_the_warm_start(self, seed, kind):
+        norm, omega0 = BUILTIN_CLOSED[kind]
         anchor = anchor_vector(norm, omega0)
         grid = HalfSphereGrid(2, 16, 32)
         b = geometry(smooth_surface(grid, seed), norm, omega0, anchor)
-        # a cold solve steps every node, so its jets are those at the maximizers
+        assert b.maximizer_jets is None
+        nxt = smooth_surface(grid, seed + 1)
+        warm = geometry(nxt, norm, omega0, anchor, warm=b, dual_tol=1e-9)
+        cold = geometry(nxt, norm, omega0, anchor)
+        assert warm.maximizer_jets is None
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
+
+
+class TestCarriedJets:
+    FIELDS = TestClosedFormMetric.FIELDS + ("maximizer_jets",)
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(JET_CARRIERS)))
+    @settings(max_examples=10, deadline=None)
+    def test_carried_jets_equal_recomputed_ones(self, seed, kind):
+        norm, omega0 = JET_CARRIERS[kind]
+        anchor = anchor_vector(norm, omega0)
+        grid = HalfSphereGrid(2, 16, 32)
+        b = geometry(smooth_surface(grid, seed), norm, omega0, anchor)
+        # the jets at the maximizers: those of the last Newton iterate for the
+        # custom gauge, the base jets at t = 1 for the shifted one, where the
+        # ray roots give t = 1 to round-off
         recomputed = norm.gauge_jets(b.maximizers)
-        assert np.array_equal(b.maximizer_jets, recomputed)
+        if kind == "custom":
+            assert np.array_equal(b.maximizer_jets, recomputed)
+        else:
+            np.testing.assert_allclose(b.maximizer_jets, recomputed, rtol=1e-12, atol=1e-12)
         nxt = smooth_surface(grid, seed + 1)
         carried = geometry(nxt, norm, omega0, anchor, warm=b, dual_tol=1e-9)
         b.maximizer_jets = recomputed
