@@ -10,8 +10,10 @@ the contact-angle relation at the boundary ring: the relation pins each rim
 maximizer to the unit ball's slice at height -omega0, where
 Norm.slice_maximizers finds it (in closed form for the quadric and quartic
 gauges, by a 2x2 Newton per rim node for a custom or shifted one), and the
-ghost value follows from the gauge gradient at that point.  The implicit
-solve's per-mode inverse is built once per run by tridiagonal elimination.
+ghost value follows from the gauge gradient at that point.  A quadric's
+geometry reads per-node frame projections, made once per run and handed on by
+the bundles.  The implicit solve's per-mode inverse is built once per run by
+tridiagonal elimination.
 A fixed dt_override takes A = 0: forward Euler, the reference explicit
 scheme; a step that moves phi by more than MAX_PHI_STEP ends the run as a
 blow-up.
@@ -181,12 +183,13 @@ def boundary_enforce(
     p_lambda e2 is horizontal and only p_beta depends on the ghost value.  The
     maximizer z of <w, .> lies on the unit ball's slice z_3 = -omega0, where
     the horizontal gauge gradient is parallel to h: norm.slice_maximizers
-    finds it (a closed form for the quadric and quartic gauges; for a custom
-    or shifted gauge a 2x2 Newton per node from z0, the rim maximizers
-    (n_lambda, 3) of a nearby surface).  Then w = s Dgauge(z) with
-    s = |h|^2 / <h, D_h gauge> gives p_beta = s d_3 gauge.  One support_many
-    at w (closed-form or, for a custom gauge, a Newton from z) re-checks the
-    contact residual max |z_3 + omega0|, which must reach tol and is returned.
+    finds it with the gauge's value and gradient there (a closed form for
+    the quadric and quartic gauges; for a custom or shifted gauge a 2x2 Newton
+    per node from z0, the rim maximizers (n_lambda, 3) of a nearby surface).
+    Then w = s Dgauge(z) with s = |h|^2 / <h, D_h gauge> gives p_beta = s d_3
+    gauge.  One support_many at w (closed-form or, for a custom gauge, a Newton
+    from z) re-checks the contact residual max |z_3 + omega0|, which must reach
+    tol and is returned.
     """
     grid = surface.grid
     if grid.n != 2:
@@ -336,15 +339,17 @@ def step(
     """One step of size dt through the given implicit solve, from surface and
     its bundle; returns the new surface and its bundle.
 
-    The dual solve and the boundary closure start warm from bundle's
-    maximizers.
+    The dual solve and the generic boundary closure start warm from bundle's
+    maximizers; the closed forms take no start, so a quadric's stay unread.
     """
     if dt < 1e-12:
         raise FlowError("time step underflow")
     grid = surface.grid
     new = surface.copy()
     _advance(new, bundle, dt, diffusion)
-    boundary_enforce(new, norm, omega0, boundary_tol, z0=bundle.maximizers[-grid.n_lambda:])
+    newton = type(norm).slice_maximizers is Norm.slice_maximizers
+    z0 = bundle.maximizers[-grid.n_lambda:] if newton else None
+    boundary_enforce(new, norm, omega0, boundary_tol, z0=z0)
     new.time = surface.time + dt
     return new, geometry(new, norm, omega0, anchor, warm=bundle, dual_tol=1e-9)
 

@@ -291,10 +291,11 @@ class Norm:
         h (2, N) holds the horizontal parts of the rim directions (or the
         planar normals of the slice support table), component-major.  The
         maximizer z of <h + t E_up, .> for the right t lies on the slice,
-        where the horizontal gauge gradient is parallel to h.  A 2x2 Newton per node solves gauge(z) = 1 and h_1 d_2 gauge - h_2
-        d_1 gauge = 0 for (z_1, z_2), from z0 (N, 3) or from the slice points
-        along h, and stops once its step, which it applies, is at most
-        CLOSURE_TOL.  Returns z (N, 3) and the order-2 jets at z.
+        where the horizontal gauge gradient is parallel to h.  A 2x2 Newton
+        per node solves gauge(z) = 1 and h_1 d_2 gauge - h_2 d_1 gauge = 0 for
+        (z_1, z_2), from z0 (N, 3) or from the slice points along h, and stops
+        once its step, which it applies, is at most CLOSURE_TOL.  Returns z
+        (N, 3) and the value and gradient rows (4, N) of the jets at z.
         """
         h1, h2 = h
         if z0 is None:
@@ -316,7 +317,7 @@ class Norm:
             z[:2] -= dz
             c = self.gauge_jets(z.T)
             if np.abs(dz).max() <= CLOSURE_TOL:
-                return z.T, c
+                return z.T, c[:4]
         raise FlowError(f"boundary closure did not converge in {CLOSURE_MAX_ITER} iterations")
 
     def support(self, x) -> DualSolveResult:
@@ -499,7 +500,7 @@ class QuadraticNorm(Norm):
         """Closed form: on the slice z = (y, -omega0) the horizontal gradient is
         parallel to h when A y - omega0 m = t h, so y = t A^-1 h + omega0 A^-1 m,
         and gauge(z) = 1 reads t^2 h^T A^-1 h = 1 - omega0^2 s; the root t > 0
-        turns the gradient towards h.  z0 is unused."""
+        turns the gradient M z / sqrt(z^T M z) towards h.  z0 is unused."""
         room = 1.0 - omega0 * omega0 * self._slice_s
         if not room > 0.0:
             raise FlowError(f"empty boundary slice at height {-omega0:.6g} for {self.name}")
@@ -508,14 +509,31 @@ class QuadraticNorm(Norm):
         z = np.empty((3, h.shape[1]))
         z[:2] = t * a_inv_h + omega0 * self._a_inv_m[:, None]
         z[2] = -omega0
-        return z.T, self.gauge_jets(z.T)
+        mz = self.m @ z
+        val = np.sqrt((z * mz).sum(axis=0))
+        return z.T, np.concatenate((val[None], mz / val))
 
     def support_many(self, xs, z0=None, tol=DUAL_TOL, return_jets=False, jets0=None):
+        """Closed form; z0, tol and jets0 are unused.  A row whose x^T M^-1 x is
+        not in (0, inf) is redone from x / max|x_i|: a zero row raises
+        NormError, a NaN row comes back unconverged."""
         xs = np.asarray(xs, dtype=float)
         minv_x = xs @ self.m_inv
         val = np.sqrt(np.einsum("ni,ni->n", xs, minv_x))
-        z = minv_x / val[:, None]
-        ok = np.ones(xs.shape[0], dtype=bool)
+        ok = (val > 0.0) & (val < np.inf)  # NaN fails
+        if ok.all():
+            z = minv_x / val[:, None]
+        else:
+            redo, scale = ~ok, np.abs(xs[~ok]).max(axis=1)
+            if np.any(scale == 0.0):
+                raise NormError("support direction must be nonzero")
+            with np.errstate(invalid="ignore"):
+                x_s = xs[redo] / scale[:, None]
+                minv_x[redo] = x_s @ self.m_inv
+                val[redo] = np.sqrt(np.einsum("ni,ni->n", x_s, minv_x[redo]))
+                z = minv_x / val[:, None]
+            val[redo] *= scale
+            ok = np.isfinite(val)
         if not return_jets:
             return val, z, 0, ok
         return val, z, 0, ok, self.gauge_jets(z)
@@ -525,9 +543,6 @@ class QuadraticNorm(Norm):
         directions."""
         s, z, _, ok = self.support_many(nu)
         return s, z, ok, np.broadcast_to(self._m_tri, (len(self._m_tri), len(s))), None
-
-    def metric_times(self, metric, t):
-        return self.m @ t
 
 
 class ExpressionNorm(Norm):
@@ -810,7 +825,7 @@ class QuarticGaugeNorm(Norm):
         z[0] = t * h1
         z[1] = t * h2_c
         z[2] = -omega0
-        return z.T, self.gauge_jets(z.T)
+        return z.T, self.gauge_jets(z.T)[:4]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import CapflowError
-from .norms import Norm, triangle_matrices
+from .norms import Norm, QuadraticNorm, triangle_matrices
 from .wulff import AnchorVector, CapillaryWulffShape, TranslatedNorm, anchor_vector
 
 
@@ -171,7 +171,10 @@ class GraphSurface:
         return surf
 
     def copy(self) -> "GraphSurface":
-        return GraphSurface(self.grid, self.phi.copy(), self.time)
+        """A copy, whose phi is not checked again: every writer of phi checks it."""
+        new = object.__new__(type(self))
+        new.grid, new.phi, new.time = self.grid, self.phi.copy(), self.time
+        return new
 
 
 @dataclass
@@ -184,7 +187,9 @@ class GeometryBundle:
     access.  u_bar, area_el and Hk follow from the fields above for both n;
     kappaF and diffusion_max read `parts`, the n = 2 components of ghat and
     of the second fundamental form h (hhat = h / F), and for n = 3 geometry
-    fills those two directly.
+    fills those two directly.  No step reads nu and nu_F: the n = 2 quadric
+    path leaves them to the properties below, which read the surface's phi,
+    and keeps its per-node coefficients in `projections`.
     """
 
     surface: GraphSurface
@@ -192,18 +197,27 @@ class GeometryBundle:
     omega0: float
     anchor: AnchorVector
     shape: tuple
-    nu: np.ndarray
     v: np.ndarray
     rho: np.ndarray
     F: np.ndarray
-    nu_F: np.ndarray
     u_hat: np.ndarray
     pairing: np.ndarray       # G(nu_F)(nu_F, E^F) = <nu, E^F>/F(nu)
     HF: np.ndarray            # sum of kappaF
     f: np.ndarray             # flow speed
-    maximizers: np.ndarray
     maximizer_jets: np.ndarray | None  # order-2 gauge jets at the maximizers, or None
     parts: dict | None = None
+    projections: np.ndarray | None = None
+
+    @cached_property
+    def nu(self) -> np.ndarray:  # (N, d) unit normals, from the stencils of phi
+        (f1, f2), grid = _stencils_n2(self.surface)[1][:2], self.surface.grid
+        return ((grid.frame_u - (f1 * grid.frame_e1 + f2 * grid.frame_e2)) / self.v).T
+
+    @cached_property
+    def nu_F(self) -> np.ndarray:  # Cahn-Hoffman points, M^-1 nu / F for a quadric
+        return self.nu @ self.norm.m_inv / self.F[:, None]
+
+    maximizers = property(lambda self: self.nu_F)  # of the support solve
 
     @cached_property
     def u_bar(self) -> np.ndarray:  # capillary support function
@@ -258,8 +272,8 @@ def _diffusion_bound(u_hat: np.ndarray, lam_min: np.ndarray) -> float:
 
 
 def _stencils_n2(surface: GraphSurface):
-    """rho and the frame derivatives f1, f2, H11, H12, H22 of phi on rings
-    1..n_beta (covariant Hessian on the round sphere), flattened."""
+    """rho (N,) and the frame derivatives f1, f2, H11, H12, H22 of phi on rings
+    1..n_beta (covariant Hessian on the round sphere), as one (5, N) array."""
     grid = surface.grid
     nb, db, dl = grid.n_beta, grid.dbeta, grid.dlam
     phi = surface.phi
@@ -267,15 +281,16 @@ def _stencils_n2(surface: GraphSurface):
     pad = np.concatenate((phi[:, -1:], phi, phi[:, :1]), axis=1)
     up, rows, down = pad[2:], pad[1 : nb + 1], pad[:nb]
     c, e, w = slice(1, -1), slice(2, None), slice(None, -2)
-    p_b = (up[:, c] - down[:, c]) / (2 * db)
-    p_bb = (up[:, c] - 2 * rows[:, c] + down[:, c]) / db**2
+    sb, cot, out = grid.sin_b, grid.cot_b, np.empty((5, nb, grid.n_lambda))
+    p_b = np.divide(up[:, c] - down[:, c], 2 * db, out=out[0])
+    np.divide(up[:, c] - 2 * rows[:, c] + down[:, c], db**2, out=out[2])
     p_l = (rows[:, e] - rows[:, w]) / (2 * dl)
     p_ll = (rows[:, e] - 2 * rows[:, c] + rows[:, w]) / dl**2
     p_bl = (up[:, e] - up[:, w] - down[:, e] + down[:, w]) / (4 * db * dl)
-    sb, cot = grid.sin_b, grid.cot_b
-    derivs = (p_b, p_l / sb, p_bb, (p_bl - cot * p_l) / sb,
-              p_ll / grid.sin2_b + cot * p_b)
-    return np.exp(phi[1 : nb + 1]).ravel(), [a.ravel() for a in derivs]
+    np.divide(p_l, sb, out=out[1])
+    np.divide(p_bl - cot * p_l, sb, out=out[3])
+    np.add(p_ll / grid.sin2_b, cot * p_b, out=out[4])
+    return np.exp(phi[1 : nb + 1]).ravel(), out.reshape(5, -1)
 
 
 def _d1(a, axis, h):
@@ -354,6 +369,19 @@ def _elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
     return out
 
 
+def _quadric_projections(grid: HalfSphereGrid, norm: QuadraticNorm,
+                         anchor: AnchorVector) -> np.ndarray:
+    """The fixed per-node coefficients of the n = 2 quadric geometry, (15, N):
+    u.u, -2 u.e1, -2 u.e2, e1.e1, 2 e1.e2, e2.e2 in the M^-1 product, which
+    make (F v)^2 = F(u - f_i e_i)^2 a quadratic in f1, f2; u.u, u.e1, u.e2,
+    e1.e1, e1.e2, e2.e2 in the M product; e_F.u, e_F.e1, e_F.e2."""
+    frame = np.stack((grid.frame_u, grid.frame_e1, grid.frame_e2))
+    a, b = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+    inv, met = (np.einsum("pin,ij,pjn->pn", frame[a], m, frame[b]) for m in (norm.m_inv, norm.m))
+    inv *= np.array([1.0, -2.0, -2.0, 1.0, 2.0, 1.0])[:, None]
+    return np.concatenate((inv, met, np.einsum("i,pin->pn", anchor.e_f, frame)))
+
+
 def geometry(
     surface: GraphSurface,
     norm: Norm,
@@ -364,50 +392,70 @@ def geometry(
 ) -> GeometryBundle:
     """Full pointwise geometry of the graph surface under the given norm.
 
-    The metric G at the Cahn-Hoffman points comes from norm.dual_metric:
-    M for a quadric gauge, a closed form for the quartic, the gauge jets of
-    the support solve otherwise.  warm, a bundle of a nearby surface on the
-    same grid, starts the dual solve from its maximizers and their jets.
+    n = 2 with a quadric gauge sqrt(z^T M z) takes no dual solve: F v, the
+    pairing and ghat = T^T M T are quadratic in the slopes f1, f2 with per-node
+    coefficients (_quadric_projections, taken from warm once computed), and nu
+    and nu_F wait for a read.  Otherwise G at the Cahn-Hoffman points comes
+    from norm.dual_metric, whose solve warm, a bundle of a nearby surface on
+    the same grid, starts from its maximizers and their jets.
     """
     grid = surface.grid
     n = grid.n
     if anchor is None:
         anchor = anchor_vector(norm, omega0)
+    quadric = n == 2 and isinstance(norm, QuadraticNorm)
     if n == 2:
         shape = (grid.n_beta, grid.n_lambda)
-        rho, (f1, f2, H11, H12, H22) = _stencils_n2(surface)
-        # a non-finite term makes the sum non-finite
-        if not np.all(np.isfinite(f1 + f2 + H11 + H12 + H22)):
+        rho, derivs = _stencils_n2(surface)
+        if not np.isfinite(derivs).all():
             raise SurfaceError("non-finite derivative (blow-up?)")
+        f1, f2, H11, H12, H22 = derivs
         u, e1, e2 = grid.frame_u, grid.frame_e1, grid.frame_e2
-        v = np.sqrt(1.0 + (f1 * f1 + f2 * f2))
-        nu = ((u - (f1 * e1 + f2 * e2)) / v).T
+        f11, f22 = f1 * f1, f2 * f2
+        v = np.sqrt(1.0 + (f11 + f22))
+        if not quadric:
+            nu = ((u - (f1 * e1 + f2 * e2)) / v).T
     else:
         shape, rho, p, H, u, frame = _frame_data_n3(surface)
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(H))):
             raise SurfaceError("non-finite derivative (blow-up?)")
         v = np.sqrt(1.0 + np.sum(p**2, axis=1))
         nu = (u - (p[:, :, None] * frame).sum(axis=1)) / v[:, None]
-    z0, jets0 = (None, None) if warm is None else (warm.maximizers, warm.maximizer_jets)
-    f_val, xi, ok, G_xi, xi_jets = norm.dual_metric(nu, z0, dual_tol, jets0)
-    if not np.all(ok):
-        raise SurfaceError(f"dual solve failed at {int(np.sum(~ok))} nodes")
-    u_hat = rho / (v * f_val)
-    pairing = (nu @ anchor.e_f) / f_val
+    xi_jets, proj, lazy = None, None, {}
+    if quadric:
+        proj = getattr(warm, "projections", None)
+        if proj is None or not (warm.surface.grid is grid and warm.norm is norm
+                                and warm.anchor is anchor):
+            proj = _quadric_projections(grid, norm, anchor)
+        iuu, iu1, iu2, i11, i12, i22, muu, mu1, mu2, m11, m12, m22, au, a1, a2 = proj
+        fv = np.sqrt(iuu + f1 * (iu1 + f1 * i11 + f2 * i12) + f2 * (iu2 + f2 * i22))
+        f_val, u_hat, pairing = fv / v, rho / fv, (au - (f1 * a1 + f2 * a2)) / fv
+        # ghat_ij = rho^2 (f_i f_j u.u + f_i u.e_j + f_j u.e_i + e_i.e_j) in M
+        rr, c1, c2 = rho * rho, f1 * muu + mu1, f2 * muu + mu2
+        g11 = rr * (f1 * (c1 + mu1) + m11)
+        g12 = rr * (f2 * c1 + f1 * mu2 + m12)
+        g22 = rr * (f2 * (c2 + mu2) + m22)
+    else:
+        z0, jets0 = (None, None) if warm is None else (warm.maximizers, warm.maximizer_jets)
+        f_val, xi, ok, G_xi, xi_jets = norm.dual_metric(nu, z0, dual_tol, jets0)
+        if not np.all(ok):
+            raise SurfaceError(f"dual solve failed at {int(np.sum(~ok))} nodes")
+        u_hat, pairing = rho / (v * f_val), (nu @ anchor.e_f) / f_val
+        lazy.update(nu=nu, nu_F=xi)
     denom = 1.0 + omega0 * pairing
     if n == 2:
-        # ghat = T G T^T and hhat = h / F by components, with the ambient
-        # coordinate tangents T_i = rho (f_i u + e_i); HF = tr(ghat^-1 hhat)
-        T1 = rho * (f1 * u + e1)
-        T2 = rho * (f2 * u + e2)
-        GT2 = norm.metric_times(G_xi, T2)
-        g11 = (T1 * norm.metric_times(G_xi, T1)).sum(axis=0)
-        g12 = (T1 * GT2).sum(axis=0)
-        g22 = (T2 * GT2).sum(axis=0)
-        # h = (rho / v) (I + p p^T - H) by components
+        if not quadric:
+            # ghat = T G T^T with the ambient coordinate tangents T_i = rho (f_i u + e_i)
+            T1 = rho * (f1 * u + e1)
+            T2 = rho * (f2 * u + e2)
+            GT2 = norm.metric_times(G_xi, T2)
+            g11 = (T1 * norm.metric_times(G_xi, T1)).sum(axis=0)
+            g12 = (T1 * GT2).sum(axis=0)
+            g22 = (T2 * GT2).sum(axis=0)
+        # hhat = h / F by components, h = (rho / v) (I + p p^T - H); HF = tr(ghat^-1 hhat)
         s = rho / v
-        h11, h12 = s * (1.0 + f1 * f1 - H11), s * (f1 * f2 - H12)
-        h22 = s * (1.0 + f2 * f2 - H22)
+        h11, h12 = s * (1.0 + f11 - H11), s * (f1 * f2 - H12)
+        h22 = s * (1.0 + f22 - H22)
         a = g11 * g22 - g12**2
         HF = (h11 * g22 + h22 * g11 - 2.0 * h12 * g12) / f_val / a
         parts = dict(h11=h11, h12=h12, h22=h22, ghat11=g11, ghat12=g12, ghat22=g22, a=a)
@@ -422,16 +470,14 @@ def geometry(
         M = np.einsum("nab,nbc,ndc->nad", Linv, h / f_val[:, None, None], Linv)
         kappa = np.linalg.eigvalsh(M)
         HF = kappa.sum(axis=1)
-        lazy = dict(kappaF=kappa,
+        lazy.update(kappaF=kappa,
                     diffusion_max=_diffusion_bound(u_hat, np.linalg.eigvalsh(ghat)[:, 0]))
     bundle = GeometryBundle(
-        surface=surface, norm=norm, omega0=float(omega0), anchor=anchor,
-        shape=shape, nu=nu, v=v, rho=rho, F=f_val, nu_F=xi, u_hat=u_hat,
-        pairing=pairing, HF=HF, f=n * denom - u_hat * HF, maximizers=xi,
-        maximizer_jets=xi_jets, parts=parts,
+        surface=surface, norm=norm, omega0=float(omega0), anchor=anchor, shape=shape,
+        v=v, rho=rho, F=f_val, u_hat=u_hat, pairing=pairing, HF=HF,
+        f=n * denom - u_hat * HF, maximizer_jets=xi_jets, parts=parts, projections=proj,
     )
-    if n == 3:
-        bundle.__dict__.update(lazy)
+    bundle.__dict__.update(lazy)
     return bundle
 
 
@@ -495,6 +541,8 @@ class SliceSupportTable:
 
     def _cell(self, theta: np.ndarray):
         t = np.mod(theta, 2.0 * np.pi) / self.h
+        # t of a knot k h may land a few ulps past k, at the far end of cell k - 1
+        t = np.where(np.abs(t - np.rint(t)) <= 4.0 * np.finfo(float).eps * t, np.rint(t), t)
         j = np.minimum(np.floor(t).astype(int), self.vals.size - 1)
         return j, (j + 1) % self.vals.size, t - j
 

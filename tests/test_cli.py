@@ -157,10 +157,10 @@ class TestSimulate:
             calls = 0
 
             def support_many(self, *args, **kwargs):
-                # set-up takes 5 calls and a step 2: step 34 fails, between
-                # the dt refreshes at steps 20 and 40
+                # set-up takes 4 calls and a step 1 (the rim re-check): step
+                # 34 fails, between the dt refreshes at steps 20 and 40
                 self.calls += 1
-                if self.calls > 70:
+                if self.calls > 37:
                     raise DualSolveError("singular dual system")
                 return super().support_many(*args, **kwargs)
 

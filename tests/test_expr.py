@@ -20,12 +20,12 @@ from capflow.expr import (
     Pow,
     Var,
     evaluate,
-    finite_difference_jet,
     jet_rows,
     parse,
     triangle_matrices,
     triple_tensors,
 )
+from finite_differences import finite_difference_jet
 
 
 def ev(src, pts, dim=3, order=2):

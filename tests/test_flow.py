@@ -195,6 +195,20 @@ class TestQuadricClosure:
         assert np.abs(closed.phi[nb + 1] - surf.phi[nb + 1]).max() <= 1e-14
         assert res <= 1e-15
 
+    @pytest.mark.parametrize("closure", ["closed", "newton"])
+    def test_step_reads_the_lazy_maximizers_only_for_the_newton(self, closure):
+        norm = SPHERE if closure == "closed" else NewtonClosure(SPHERE.m)
+        anchor = anchor_vector(norm, -0.5)
+        cfg = FlowConfig(norm=norm, omega0=-0.5, n_beta=16, n_lambda=32, initial="cap")
+        surf = initial_surface(cfg, anchor)
+        bundle = geometry(surf, norm, -0.5, anchor)
+        _, nxt = step(surf, norm, -0.5, anchor, bundle, 1e-4, ImplicitDiffusion(surf.grid, 0.0))
+        # the generic closure starts from the rim maximizers; nothing else reads them
+        lazy = ("nu", "nu_F")
+        assert all((name in vars(bundle)) == (closure == "newton") for name in lazy)
+        assert not any(name in vars(nxt) for name in lazy)
+        assert nxt.projections is bundle.projections
+
     @pytest.mark.parametrize("norm, omega0", [
         (SPHERE, 1.0), (SPHERE, -1.0), (make_norm("ellipsoid", [1.0, 1.0, 0.25]), 0.6),
         # the quartic slice is empty for |omega0| >= 1

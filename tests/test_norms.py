@@ -22,6 +22,7 @@ from capflow.norms import (
     metric_components,
     solve_components,
 )
+from finite_differences import finite_difference_jet
 
 SPHERE = make_norm("sphere")
 ELLIPSOID = make_norm("ellipsoid", [4.0, 1.0, 1.0])
@@ -176,7 +177,7 @@ class TestSupportHessian:
         def supp(p):
             return A2.support(p).value
 
-        fd = expr_mod.finite_difference_jet(supp, x, h=1e-5)
+        fd = finite_difference_jet(supp, x, h=1e-5)
         f_val, z, _, ok = A2.support_many(x[None, :])
         hess = A2.support_hessian_many(x[None, :], maximizers=z)[0]
         assert np.allclose(hess, fd.hess, atol=1e-5)
@@ -616,8 +617,9 @@ class TestClosedFormDuality:
         h = length * np.array([np.cos(azimuths), np.sin(azimuths)])
         z, comps = norm.slice_maximizers(h, omega0)
         z_ref, comps_ref = Norm.slice_maximizers(norm, h, omega0)
-        # the generic closure returns the jets at the points it returns
-        assert np.array_equal(comps_ref, norm.gauge_jets(z_ref, 2))
+        # the generic closure returns the value and gradient rows of the jets
+        # at the points it returns
+        assert np.array_equal(comps_ref, norm.gauge_jets(z_ref, 2)[:4])
         assert np.abs(z - z_ref).max() <= CLOSED_FORM_TOL
         assert np.abs(comps - comps_ref).max() <= CLOSED_FORM_TOL
         assert np.abs(z[:, 2] + omega0).max() <= 1e-15
@@ -637,6 +639,26 @@ class TestClosedFormDuality:
         assert np.array_equal(z, z_base + A3.eta)
         # the jets at t = 1 are the ray-root jets there
         assert np.abs(jets - A3.gauge_jets(z, order=2)).max() <= CLOSED_FORM_TOL
+
+    @pytest.mark.parametrize("norm", [SPHERE, make_norm("ellipsoid", [4.0, 1.0, 2.0])],
+                             ids=lambda n: n.name)
+    def test_quadric_zero_nan_huge_and_tiny_directions(self, norm):
+        with pytest.raises(NormError):
+            norm.support_many(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        xs = np.array([[0.3, 0.1, 0.9], [np.nan, 0.0, 1.0], [0.0, np.nan, np.nan], [1.0, 0.0, 0.0]])
+        s, z, _, ok, jets = norm.support_many(xs, return_jets=True)
+        assert ok.tolist() == [True, False, False, True]
+        want = norm.support_many(xs[ok], return_jets=True)
+        assert np.array_equal(s[ok], want[0]) and np.array_equal(z[ok], want[1])
+        assert np.array_equal(jets[:, ok], want[4])
+        # the quadratic form overflows at 2^600 and underflows at 2^-600; those
+        # rows are solved again from x / max|x_i|, which rounds differently
+        eps = np.finfo(float).eps
+        for factor in (2.0**300, 2.0**600, 2.0**-600):
+            s_f, z_f, _, ok_f = norm.support_many(factor * xs[ok])
+            assert np.all(ok_f)
+            assert np.all(np.abs(s_f / factor - want[0]) <= 4 * eps * want[0])
+            assert np.abs(z_f - want[1]).max() <= 4 * eps
 
     @pytest.mark.parametrize("norm", [A2, QUARTIC_NORMS[2.0], A3], ids=lambda n: n.name)
     def test_zero_nan_huge_and_tiny_directions(self, norm):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capflow.norms import QUARTIC_A2_TEXT, make_norm
+from capflow.norms import QUARTIC_A2_TEXT, Norm, make_norm
 from capflow.surface import (
     _d1,
+    _stencils_n2,
     _d1_edge,
     _d2_edge,
     GeometryBundle,
@@ -26,6 +27,7 @@ from capflow.surface import (
     wetted_area,
 )
 from capflow.wulff import CapillaryWulffShape, TranslatedNorm, anchor_vector
+from test_flow import rotated_quadric
 
 SPHERE = make_norm("sphere")
 A2 = make_norm("quartic_a2")
@@ -207,6 +209,15 @@ class TestSliceSupportTable:
             scale = np.abs(table.vals).max()
             assert np.abs(table.value(nodes) - table.vals).max() <= 4 * EPS * scale
             assert np.abs(table.value(nodes - 2.0 * np.pi) - table.vals).max() <= 16 * EPS * scale
+
+    def test_reproduces_a_knot_that_divides_past_its_cell(self):
+        # knot 35 of 48 divides back to t = 35.00000000000001: read as the far
+        # end of cell 34 it misses vals[35] by 4.05 eps scale
+        table = SliceSupportTable(TrigTable(0.5, -0.3125, 0.375), 48)
+        nodes = 2.0 * np.pi * np.arange(48) / 48
+        assert np.mod(nodes[35], 2.0 * np.pi) / table.h > 35.0
+        scale = np.abs(table.vals).max()
+        assert np.abs(table.value(nodes) - table.vals).max() <= 4 * EPS * scale
 
     @given(coeffs=COEFFS, theta=st.floats(-np.pi, 3 * np.pi), turns=st.integers(-3, 3))
     @settings(max_examples=40, deadline=None)
@@ -482,8 +493,8 @@ class TestNearlyUmbilic:
                      a=np.array([g11 * g22 - g12 * g12]),
                      h11=np.array([h11]), h12=np.array([h12]), h22=np.array([h22]))
         one = np.ones(1)
-        return GeometryBundle(None, None, 0.0, None, (1, 1), None, one, one, one, None, one,
-                              one, one, one, None, None, parts)
+        return GeometryBundle(None, None, 0.0, None, (1, 1), one, one, one, one, one, one,
+                              one, None, parts)
 
     def test_diagonal_metric(self):
         # ghat = diag(1, 1 + 1e-9), hhat = I: kappaF = 1/(1 + 1e-9) and 1, and
@@ -508,3 +519,82 @@ class TestNearlyUmbilic:
         want = [k, k * (1.0 + 2.0 * gap) / (1.0 + gap)]
         np.testing.assert_allclose(b.kappaF[0], want, rtol=2e-15, atol=0)
         assert b.diffusion_max == pytest.approx(1.0, rel=2e-15, abs=0)
+
+
+class GenericQuadric(Norm):
+    """A quadric gauge that geometry takes through the support solve and
+    Norm.dual_metric, as any other gauge, instead of the frame projections."""
+
+    def __init__(self, quadric):
+        super().__init__(quadric.d, name=quadric.name)
+        self.quadric = quadric
+
+    def gauge_jets(self, pts, order=2):
+        return self.quadric.gauge_jets(pts, order)
+
+    def support_many(self, *args, **kwargs):
+        return self.quadric.support_many(*args, **kwargs)
+
+
+class TestQuadricProjections:
+    """The n = 2 quadric geometry from per-node frame projections."""
+
+    LAZY = ("nu", "nu_F")
+    NORMS = {"sphere": SPHERE, "ellipsoid": make_norm("ellipsoid", [4.0, 1.0, 2.0]),
+             "rotated": rotated_quadric()}
+
+    def test_warm_geometry_solves_nothing_and_leaves_the_normals_unread(self, monkeypatch):
+        norm, omega0 = make_norm("sphere"), -0.5
+        anchor = anchor_vector(norm, omega0)
+        grid = HalfSphereGrid(2, 24, 48)
+        cold = geometry(smooth_surface(grid, 1), norm, omega0, anchor)
+        calls = []
+        for name in ("support_many", "gauge_jets", "metric_times"):
+            monkeypatch.setattr(norm, name, lambda *a, name=name, **k: calls.append(name))
+        warm = geometry(smooth_surface(grid, 2), norm, omega0, anchor, warm=cold, dual_tol=1e-9)
+        assert calls == []
+        assert warm.projections is cold.projections
+        for b in (cold, warm):
+            assert not any(name in vars(b) for name in self.LAZY)
+        # a read computes them once; maximizers is nu_F, as on the other paths
+        assert warm.maximizers is warm.nu_F
+        assert all(isinstance(vars(warm)[name], np.ndarray) for name in self.LAZY)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", sorted(NORMS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_field_matches_the_generic_dual_metric_path(self, kind, seed):
+        norm, omega0 = self.NORMS[kind], -0.4
+        anchor = anchor_vector(norm, omega0)
+        surf = smooth_surface(HalfSphereGrid(2, 24, 48), seed)
+        got = geometry(surf, norm, omega0, anchor)
+        want = geometry(surf, GenericQuadric(norm), omega0, anchor)
+        assert got.projections is not None and want.projections is None
+        names = TestClosedFormMetric.FIELDS + ("u_bar", "area_el", "Hk")
+        pairs = [(getattr(got, k), getattr(want, k), k) for k in names]
+        pairs += [(got.parts[k], want.parts[k], k) for k in want.parts]
+        for g, w, name in pairs:
+            assert np.shape(g) == np.shape(w), name
+            assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w).max()), name
+
+    @given(seed=st.integers(0, 2**32 - 1), nb=st.sampled_from([8, 16, 24]))
+    @settings(max_examples=10, deadline=None)
+    def test_stencils_are_the_roll_formulas_bitwise(self, seed, nb):
+        grid = HalfSphereGrid(2, nb, 2 * nb)
+        surf = smooth_surface(grid, seed)
+        rho, derivs = _stencils_n2(surf)
+        phi, db, dl = surf.phi, grid.dbeta, grid.dlam
+        rows, up, down = phi[1 : nb + 1], phi[2 : nb + 2], phi[:nb]
+        sb, cot = np.sin(grid.betas[1:])[:, None], np.cos(grid.betas[1:])[:, None]
+        cot = cot / sb
+        p_b = (up - down) / (2 * db)
+        p_l = (np.roll(rows, -1, axis=1) - np.roll(rows, 1, axis=1)) / (2 * dl)
+        p_bl = (np.roll(up, -1, axis=1) - np.roll(up, 1, axis=1)
+                - np.roll(down, -1, axis=1) + np.roll(down, 1, axis=1)) / (4 * db * dl)
+        p_ll = (np.roll(rows, -1, axis=1) - 2 * rows + np.roll(rows, 1, axis=1)) / dl**2
+        want = (p_b, p_l / sb, (up - 2 * rows + down) / db**2, (p_bl - cot * p_l) / sb,
+                p_ll / sb**2 + cot * p_b)
+        assert derivs.shape == (5, nb * 2 * nb) and derivs.flags.c_contiguous
+        assert np.array_equal(rho, np.exp(rows).ravel())
+        for row, w in zip(derivs, want):
+            assert np.array_equal(row, w.ravel())
