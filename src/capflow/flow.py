@@ -10,10 +10,10 @@ the contact-angle relation at the boundary ring: the relation pins each rim
 maximizer to the unit ball's slice at height -omega0, where
 Norm.slice_maximizers finds it (in closed form for the quadric and quartic
 gauges, by a 2x2 Newton per rim node for a custom or shifted one), and the
-ghost value follows from the gauge gradient at that point.  A quadric's
-geometry reads per-node frame projections, made once per run and handed on by
-the bundles.  The implicit solve's per-mode inverse is built once per run by
-tridiagonal elimination.
+ghost value and the closure's residual follow from the gauge's value and
+gradient there.  A quadric's geometry reads per-node frame projections, made
+once per run and handed on by the bundles.  The implicit solve's per-mode
+inverse is built once per run by tridiagonal elimination.
 A fixed dt_override takes A = 0: forward Euler, the reference explicit
 scheme; a step that moves phi by more than MAX_PHI_STEP ends the run as a
 blow-up.
@@ -187,9 +187,10 @@ def boundary_enforce(
     the quadric and quartic gauges; for a custom or shifted gauge a 2x2 Newton
     per node from z0, the rim maximizers (n_lambda, 3) of a nearby surface).
     Then w = s Dgauge(z) with s = |h|^2 / <h, D_h gauge> gives p_beta = s d_3
-    gauge.  One support_many at w (closed-form or, for a custom gauge, a Newton
-    from z) re-checks the contact residual max |z_3 + omega0|, which must reach
-    tol and is returned.
+    gauge.  As z_3 = -omega0 exactly, z maximizes <w, .> when the closure's
+    residual max(|gauge - 1|, |h_1 d_2 gauge - h_2 d_1 gauge| / <h, D_h gauge>)
+    is 0; its rim maximum must reach tol and is returned.  This checks the
+    closure's convergence; tests pin the ghost value by independent solves.
     """
     grid = surface.grid
     if grid.n != 2:
@@ -199,16 +200,13 @@ def boundary_enforce(
     ext = np.concatenate((row[-1:], row, row[:1]))
     p_l = (ext[2:] - ext[:-2]) / (2 * grid.dlam)
     h = (grid.frame_u[:, -nl:] - p_l * grid.frame_e2[:, -nl:])[:2]
-    z, c = norm.slice_maximizers(h, omega0, z0)
+    _, c = norm.slice_maximizers(h, omega0, z0)
     h1, h2 = h
     along = h1 * c[1] + h2 * c[2]
     if not np.all(along > 0.0):
         raise FlowError("boundary slice has no point with the rim normal")
     p_b = (h1 * h1 + h2 * h2) / along * c[3]
-    _, z, _, ok = norm.support_many(np.stack([h1, h2, p_b], 1), z0=z, tol=min(tol, 1e-10))
-    if not np.all(ok):
-        raise FlowError(f"boundary dual solve failed at node {int(np.argmax(~ok))}")
-    res = float(np.abs(z[:, 2] + omega0).max())
+    res = float(np.maximum(np.abs(c[0] - 1.0), np.abs(h1 * c[2] - h2 * c[1]) / along).max())
     if not res <= tol:
         raise FlowError(f"boundary closure did not reach {tol} (residual {res:.3e})")
     surface.phi[nb + 1] = surface.phi[nb - 1] + 2 * grid.dbeta * p_b

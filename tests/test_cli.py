@@ -7,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capflow import cli
+from capflow import cli, flow
 from capflow.cli import (
     ConfigError,
     build_norm,
     main,
     parse_config,
 )
-from capflow.norms import NORM_KINDS, DualSolveError, QuadraticNorm
+from capflow.norms import NORM_KINDS, DualSolveError
+from test_flow import ShortClosure
 
 
 def write(tmp_path, name, text):
@@ -103,6 +104,19 @@ def test_check_condition_dimension_exit_two(tmp_path, capsys, dim):
     assert "norm.dim must be 3 or 4" in capsys.readouterr().err
 
 
+def fail_at_step(k, error):
+    """flow.step that raises error on its k-th call."""
+    calls, step = [], flow.step
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise error
+        return step(*args, **kwargs)
+
+    return failing
+
+
 class TestSimulate:
     def test_short_run_exit_zero(self, tmp_path, capsys):
         path = write(tmp_path, "sim.cfg", SIM_CFG)
@@ -132,19 +146,8 @@ class TestSimulate:
         assert (tmp_path / "out" / "trace.csv").exists()
 
     def test_numerical_failure_mid_run_exit_three(self, tmp_path, monkeypatch):
-        class FailingSphere(QuadraticNorm):
-            """Round norm whose support solve fails on its 131st call."""
-
-            calls = 0
-
-            def support_many(self, *args, **kwargs):
-                # set-up takes 5 calls and a step 2, so this is step 63
-                self.calls += 1
-                if self.calls > 130:
-                    raise DualSolveError("singular dual system for failing-sphere")
-                return super().support_many(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "make_norm", lambda *a, **k: FailingSphere(np.eye(3)))
+        monkeypatch.setattr(flow, "step", fail_at_step(
+            63, DualSolveError("singular dual system for failing-sphere")))
         path = write(tmp_path, "fail.cfg", SIM_CFG + "flow.t_end = 0.1\n")
         assert main(["simulate", path]) == 3
         trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
@@ -153,19 +156,9 @@ class TestSimulate:
         assert "blow_up = true" in summary
 
     def test_failed_run_keeps_last_good_state(self, tmp_path, monkeypatch, capsys):
-        class SolveFailsAtCall(QuadraticNorm):
-            calls = 0
-
-            def support_many(self, *args, **kwargs):
-                # set-up takes 4 calls and a step 1 (the rim re-check): step
-                # 34 fails, between the dt refreshes at steps 20 and 40
-                self.calls += 1
-                if self.calls > 37:
-                    raise DualSolveError("singular dual system")
-                return super().support_many(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "make_norm",
-                            lambda *a, **k: SolveFailsAtCall(np.eye(3)))
+        # step 34 fails, between the dt refreshes at steps 20 and 40
+        monkeypatch.setattr(flow, "step", fail_at_step(
+            34, DualSolveError("singular dual system")))
         path = write(tmp_path, "fail.cfg", SIM_CFG + "flow.t_end = 0.1\n")
         assert main(["simulate", path]) == 3
         assert "DualSolveError: singular dual system" in capsys.readouterr().err
@@ -184,6 +177,22 @@ class TestSimulate:
         assert float(summary["final_t"]) == pytest.approx(expected, rel=1e-8)
         assert float(rows[-1].split(",")[0]) == pytest.approx(expected, rel=1e-9)
         assert summary["r0"] != "nan"
+
+    def test_closure_stopped_short_exit_three(self, tmp_path, monkeypatch, capsys):
+        # from the cap, set-up closes no ghost row, so the first step fails;
+        # the sampled cap already meets the default convergence_tol
+        monkeypatch.setattr(cli, "make_norm", lambda *a, **k: ShortClosure(np.eye(3)))
+        cfg = SIM_CFG + "flow.initial = cap\nflow.convergence_tol = 1e-9\n"
+        path = write(tmp_path, "short.cfg", cfg)
+        assert main(["simulate", path]) == 3
+        assert "boundary closure did not reach 1e-08" in capsys.readouterr().err
+        summary = dict(
+            line.split(" = ", 1)
+            for line in (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        )
+        assert summary["stop_reason"].startswith(
+            "FlowError: boundary closure did not reach 1e-08 (residual ")
+        assert summary["steps"] == "0"
 
     def test_stop_reason_of_a_finished_run(self, tmp_path, capsys):
         path = write(tmp_path, "sim.cfg", SIM_CFG)

@@ -25,7 +25,14 @@ from capflow.flow import (
     time_step,
 )
 from capflow.checks import af_slacks_n3, static_cap_bundle
-from capflow.norms import QUARTIC_A2_TEXT, Norm, QuadraticNorm, make_norm
+from capflow.norms import (
+    QUARTIC_A2_TEXT,
+    Norm,
+    QuadraticNorm,
+    QuarticGaugeNorm,
+    ShiftedGaugeNorm,
+    make_norm,
+)
 from capflow.surface import GraphSurface, HalfSphereGrid, enclosed_volume, geometry
 from capflow.wulff import CapillaryWulffShape, anchor_vector
 
@@ -217,6 +224,78 @@ class TestQuadricClosure:
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(FlowError, match="empty boundary slice"):
             norm.slice_maximizers(h, omega0)
+
+
+def count_calls(monkeypatch, cls, name):
+    """A list that grows by one on each call of cls's own method name."""
+    calls, original = [], cls.__dict__[name]
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+# every method that solves the dual problem, each on the class defining it
+DUAL_SOLVES = [(cls, name) for cls in (Norm, QuadraticNorm, QuarticGaugeNorm, ShiftedGaugeNorm)
+               for name in ("support_many", "dual_metric") if name in cls.__dict__]
+DUAL_SOLVES.append((QuarticGaugeNorm, "_support_components"))
+
+RIM_NORMS = {**CLOSURE_NORMS, "sphere": SPHERE, "quartic_a2": A2}
+
+
+class ShortClosure(QuadraticNorm):
+    """A quadric whose rim closure stops 1e-6 along the slice short of its
+    maximizers, with the value and gradient rows of the point it stops at:
+    there the horizontal gradient turns away from h."""
+
+    def slice_maximizers(self, h, omega0, z0=None):
+        z, c = super().slice_maximizers(h, omega0, z0)
+        tangent = np.stack((-c[2], c[1], 0.0 * c[1])) / np.hypot(c[1], c[2])
+        z = z + 1e-6 * tangent.T
+        return z, self.gauge_jets(z)[:4]
+
+
+class TestOneRimSolve:
+    @pytest.mark.parametrize("kind", sorted(RIM_NORMS))
+    def test_boundary_enforce_makes_no_dual_solve(self, kind, monkeypatch):
+        norm = RIM_NORMS[kind]
+        grid = HalfSphereGrid(2, 16, 32)
+        surf = GraphSurface.from_wulff(grid, CapillaryWulffShape(norm, 1.0, -0.3))
+        z0 = geometry(surf, norm, -0.3).maximizers[-grid.n_lambda:]
+        surf.phi[grid.n_beta - 1:] += 0.05 * np.cos(grid.lambdas)
+        calls = [count_calls(monkeypatch, cls, name) for cls, name in DUAL_SOLVES]
+        assert boundary_enforce(surf, norm, -0.3, z0=z0) <= 1e-8
+        assert not any(calls)
+
+    @pytest.mark.parametrize("kind, cls, name, grid_size, solves", [
+        ("sphere", QuadraticNorm, "support_many", (24, 48), 0),
+        # the geometry's dual_metric; the rim closure reads the slice ellipse
+        ("quartic_a2", QuarticGaugeNorm, "_support_components", (64, 128), 1),
+        # the geometry's warm Newton; the rim closure is its own 2x2 Newton
+        ("custom", Norm, "support_many", (16, 32), 1)])
+    def test_a_warm_step_solves_the_dual_once_at_most(self, kind, cls, name, grid_size,
+                                                      solves, monkeypatch):
+        norm = RIM_NORMS[kind]
+        cfg = FlowConfig(norm=norm, omega0=-0.3, n_beta=grid_size[0], n_lambda=grid_size[1])
+        anchor = anchor_vector(norm, -0.3)
+        surf = initial_surface(cfg, anchor)
+        bundle = geometry(surf, norm, -0.3, anchor)
+        dt = time_step(surf.grid, bundle.diffusion_max, cfg.cfl_sigma)
+        diffusion = stabilized_diffusion(surf.grid, cfg.cfl_sigma)
+        surf, bundle = step(surf, norm, -0.3, anchor, bundle, dt, diffusion)
+        calls = count_calls(monkeypatch, cls, name)
+        step(surf, norm, -0.3, anchor, bundle, dt, diffusion)
+        assert len(calls) == solves
+
+    def test_a_closure_stopped_short_raises(self):
+        grid = HalfSphereGrid(2, 16, 32)
+        surf = GraphSurface.from_wulff(grid, CapillaryWulffShape(SPHERE, 1.0, -0.5))
+        assert boundary_enforce(surf.copy(), SPHERE, -0.5) <= 1e-15
+        with pytest.raises(FlowError, match="boundary closure did not reach"):
+            boundary_enforce(surf, ShortClosure(np.eye(3)), -0.5)
 
 
 class TestStepping:

@@ -42,7 +42,9 @@ def test_every_target_resolves_and_support_spans_are_recorded():
     for name in (tracer.SUPPORT, "surface.geometry", "flow.boundary_enforce"):
         assert name in names, name
     agg = tracer.aggregate(t.spans)
-    assert agg["newton_iters"] > 0 and agg["boundary_newton"] > 0
+    # boundary_newton counts support_many spans directly under boundary_enforce;
+    # the rim closure checks its own residual and makes no dual solve
+    assert agg["newton_iters"] > 0 and agg["boundary_newton"] == 0
     # leaving the tracer restores every patched name
     assert norms.Norm.__dict__["support_many"] is original
 
