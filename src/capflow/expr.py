@@ -5,8 +5,7 @@ dimension 4).  Evaluation propagates truncated Taylor data (value, gradient,
 Hessian, third derivatives) through the syntax tree, so derivatives are exact
 to rounding; no step-size tuning is involved.  The data travel as one
 component-major array per batch, whose layout, index tables and expanders to
-dense symmetric arrays are defined here for every module.  A central finite
-difference helper is provided for cross-checking.
+dense symmetric arrays are defined here for every module.
 """
 
 from __future__ import annotations

@@ -396,7 +396,6 @@ def run(config: FlowConfig):
     f0_vals = norm.f0_many(
         np.exp(surface.phi[: grid.n_beta + 1]).reshape(-1, 1)
         * grid.directions().reshape(-1, 3)
-        / 1.0
     )
     e_f = anchor.e_f
     c3, c4 = float(f0_vals.min()), float(f0_vals.max())
@@ -504,23 +503,11 @@ def rate_checks(trace: FlowTrace) -> dict:
     compares dV2/dt against the speed-weighted curvature integral.  Ends use
     one-sided differences.
     """
-    recs = trace.records
-    m = len(recs)
-    err0 = np.zeros(m)
-    err1 = np.zeros(m)
-    abs0 = np.zeros(m)
-    abs1 = np.zeros(m)
+    m = len(trace.records)
     if m < 3:
-        return {"err_k0": err0, "err_k1": err1, "abs_k0": abs0, "abs_k1": abs1}
-    t = np.array([r["t"] for r in recs])
-    v1 = np.array([r["V1_boundary"] for r in recs])
-    v2 = np.array([r["V2_interior"] for r in recs])
-    dv1 = np.gradient(v1, t)
-    dv2 = np.gradient(v2, t)
-    for i in range(m):
-        r1, r2 = recs[i]["rate_V1"], recs[i]["rate_V2"]
-        abs0[i] = abs(dv1[i] - r1)
-        abs1[i] = abs(dv2[i] - r2)
-        err0[i] = abs0[i] / max(abs(r1), 1e-12)
-        err1[i] = abs1[i] / max(abs(r2), 1e-12)
-    return {"err_k0": err0, "err_k1": err1, "abs_k0": abs0, "abs_k1": abs1}
+        return {key: np.zeros(m) for key in ("err_k0", "err_k1", "abs_k0", "abs_k1")}
+    t, r1, r2 = trace.column("t"), trace.column("rate_V1"), trace.column("rate_V2")
+    abs0 = np.abs(np.gradient(trace.column("V1_boundary"), t) - r1)
+    abs1 = np.abs(np.gradient(trace.column("V2_interior"), t) - r2)
+    return {"err_k0": abs0 / np.maximum(np.abs(r1), 1e-12),
+            "err_k1": abs1 / np.maximum(np.abs(r2), 1e-12), "abs_k0": abs0, "abs_k1": abs1}

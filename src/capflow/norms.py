@@ -289,7 +289,7 @@ class Norm:
         quadric and quartic gauges override it by a closed form.
 
         h (2, N) holds the horizontal parts of the rim directions (or the
-        planar normals of the slice support table), component-major.  The
+        planar normals of the boundary slice), component-major.  The
         maximizer z of <h + t E_up, .> for the right t lies on the slice,
         where the horizontal gauge gradient is parallel to h.  A 2x2 Newton
         per node solves gauge(z) = 1 and h_1 d_2 gauge - h_2 d_1 gauge = 0 for

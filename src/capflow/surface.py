@@ -16,7 +16,7 @@ import numpy as np
 
 from . import CapflowError
 from .norms import Norm, QuadraticNorm, triangle_matrices
-from .wulff import AnchorVector, CapillaryWulffShape, TranslatedNorm, anchor_vector
+from .wulff import AnchorVector, CapillaryWulffShape, TranslatedNorm, WulffError, anchor_vector
 
 
 class SurfaceError(RuntimeError, CapflowError):
@@ -526,35 +526,33 @@ def quermassintegral_interior(bundle: GeometryBundle, k: int) -> float:
 
 
 class SliceSupportTable:
-    """Periodic C2 cubic spline of the boundary slice support function (n = 2).
+    """Support function h of the translated ball's boundary slice (n = 2).
 
-    On the uniform knots the spline's second derivatives solve the circulant
-    system h/6 (M- + 4M + M+) = (y+ - 2y + y-)/h, one rfft divide.
+    Exact at every planar normal angle: the rim closure Norm.slice_maximizers
+    gives the slice point z with outward planar normal n, so h = <n, z + eta>,
+    and the slice's radius of curvature there is h + h'' = |D_h gauge| /
+    (t^T D_h^2 gauge t) with t the unit tangent.  It stores only the
+    translated norm; the class keeps its name because the benchmark's set-up
+    probe builds one.
     """
 
-    def __init__(self, tn: TranslatedNorm, samples: int = 1024):
-        self.h = 2.0 * np.pi / samples
-        self.vals = tn.slice_support_table(samples)
-        cos_k = np.cos(2.0 * np.pi * np.arange(samples // 2 + 1) / samples)
-        ratio = 6.0 * (cos_k - 1.0) / (self.h**2 * (2.0 + cos_k))
-        self.m2 = np.fft.irfft(np.fft.rfft(self.vals) * ratio, samples)
+    def __init__(self, tn: TranslatedNorm):
+        self.tn = tn
 
-    def _cell(self, theta: np.ndarray):
-        t = np.mod(theta, 2.0 * np.pi) / self.h
-        # t of a knot k h may land a few ulps past k, at the far end of cell k - 1
-        t = np.where(np.abs(t - np.rint(t)) <= 4.0 * np.finfo(float).eps * t, np.rint(t), t)
-        j = np.minimum(np.floor(t).astype(int), self.vals.size - 1)
-        return j, (j + 1) % self.vals.size, t - j
-
-    def value(self, theta: np.ndarray) -> np.ndarray:
-        j, k, s = self._cell(theta)
-        y, m2, r = self.vals, self.m2, 1.0 - s
-        return r * y[j] + s * y[k] + self.h**2 / 6.0 * (
-            (r**3 - r) * m2[j] + (s**3 - s) * m2[k])
-
-    def second(self, theta: np.ndarray) -> np.ndarray:
-        j, k, s = self._cell(theta)
-        return (1.0 - s) * self.m2[j] + s * self.m2[k]
+    def support(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h and h + h'' at the planar normal angles theta (d = 3)."""
+        tn = self.tn
+        if tn.base.d != 3:
+            raise WulffError("the boundary slice support is for ambient dimension 3")
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        z, c = tn.base.slice_maximizers(np.stack([cos_t, sin_t]), tn.omega0)
+        if not np.all(cos_t * c[1] + sin_t * c[2] > 0.0):
+            raise WulffError("boundary slice has no point with this planar normal")
+        # jets rows 4, 5, 7: the Hessian entries 00, 01, 11 of the horizontal block
+        hess = tn.base.gauge_jets(z)
+        curv = sin_t * sin_t * hess[4] - 2.0 * cos_t * sin_t * hess[5] + cos_t * cos_t * hess[7]
+        h = cos_t * (z[:, 0] + tn.eta[0]) + sin_t * (z[:, 1] + tn.eta[1])
+        return h, np.hypot(c[1], c[2]) / curv
 
 
 def _boundary_curve(surface: GraphSurface):
@@ -586,12 +584,12 @@ def quermassintegral_boundary(
     x1 = rb1 * np.cos(lam) - rb * np.sin(lam)
     y1 = rb1 * np.sin(lam) + rb * np.cos(lam)
     theta = np.arctan2(-x1, y1)
-    barf = table.value(theta)
+    barf, radius = table.support(theta)
     if k == 1:
         weight = np.ones_like(rb)
     else:
         kappa_plane = (rb**2 + 2 * rb1**2 - rb * rb2) / speed**3
-        weight = (barf + table.second(theta)) * kappa_plane
+        weight = radius * kappa_plane
     boundary = np.sum(weight * barf * speed) * grid.dlam
     return (interior + (bundle.omega0 / n) * boundary) / (n + 1)
 

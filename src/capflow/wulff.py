@@ -3,8 +3,9 @@
 Holds the anchor vector construction, the capillary model shape (a scaled,
 vertically anchored translate of the unit ball of the dual gauge restricted
 to the upper half-space), the translated gauge with its transferred metric
-and third-order tensor, and the planar support function of the boundary
-slice.
+and third-order tensor, and the points of the boundary slice.  The slice's
+planar support function is read from the rim closure by
+surface.SliceSupportTable.
 """
 
 from __future__ import annotations
@@ -194,21 +195,6 @@ class TranslatedNorm:
         if self.base.d != 3:
             raise WulffError("slice_points is for ambient dimension 3")
         return ball_slice_points(self.base, self.omega0, plane_directions(3, angles))
-
-    def slice_support_table(self, samples: int) -> np.ndarray:
-        """Support values at uniformly spaced planar normal angles (d = 3).
-
-        The slice point with outward planar normal n is the rim closure's
-        maximizer z (Norm.slice_maximizers), so the support at n is <n, z + eta>.
-        """
-        if self.base.d != 3:
-            raise WulffError("slice_support_table is for ambient dimension 3")
-        thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        h = np.stack([np.cos(thetas), np.sin(thetas)])
-        z, c = self.base.slice_maximizers(h, self.omega0)
-        if not np.all(h[0] * c[1] + h[1] * c[2] > 0.0):
-            raise WulffError("boundary slice has no point with this planar normal")
-        return (h * (z[:, :2].T + self.eta[:2, None])).sum(axis=0)
 
 
 def translated_metric_Q(tn: TranslatedNorm, z, x_vec, y_vec, z_vec) -> tuple[float, float]:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.norms import Norm, ShiftedGaugeNorm, make_norm
+from capflow.surface import SliceSupportTable
 from capflow.wulff import (
     RAY_MAX_ITER,
     AnchorVector,
@@ -143,7 +144,8 @@ class TestTranslatedNorm:
 
     def test_slice_support_positive_and_periodic(self):
         tn = TranslatedNorm(A2, -0.3)
-        table = tn.slice_support_table(64)
+        t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        table = SliceSupportTable(tn).support(t)[0]
         assert np.all(table > 0.0)
         # the quartic profile is rotationally symmetric about the axis
         assert table.max() - table.min() < 1e-6
@@ -157,9 +159,12 @@ class TestTranslatedNorm:
         tn = TranslatedNorm(make_norm("ellipsoid", axes), omega0)
         t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         k = 1.0 - omega0**2 / axes[2]
-        exact = np.sqrt(k * (axes[0] * np.cos(t) ** 2 + axes[1] * np.sin(t) ** 2)) \
-            + tn.eta[0] * np.cos(t) + tn.eta[1] * np.sin(t)
-        np.testing.assert_allclose(tn.slice_support_table(samples), exact, rtol=0, atol=1e-12)
+        h0 = np.sqrt(k * (axes[0] * np.cos(t) ** 2 + axes[1] * np.sin(t) ** 2))
+        exact = h0 + tn.eta[0] * np.cos(t) + tn.eta[1] * np.sin(t)
+        h, radius = SliceSupportTable(tn).support(t)
+        np.testing.assert_allclose(h, exact, rtol=0, atol=1e-12)
+        # the ellipse's radius of curvature at normal angle t
+        np.testing.assert_allclose(radius, k**2 * axes[0] * axes[1] / h0**3, rtol=1e-12)
 
     def test_slice_support_bounds_a_dense_sweep(self):
         # quartic_a2_prime goes through the generic Newton closure; the max of
@@ -170,7 +175,7 @@ class TestTranslatedNorm:
         t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         pts = tn.slice_points(np.linspace(0.0, 2.0 * np.pi, 65536, endpoint=False)) + tn.eta
         sweep = (np.stack([np.cos(t), np.sin(t)], axis=1) @ pts[:, :2].T).max(axis=1)
-        gap = tn.slice_support_table(64) - sweep
+        gap = SliceSupportTable(tn).support(t)[0] - sweep
         assert gap.min() >= -1e-15 and gap.max() <= 1e-8
 
     def test_origin_must_stay_interior(self):
