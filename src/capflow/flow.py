@@ -8,12 +8,12 @@ the bundle's diffusion bound (stabilized semi-implicit stepping, Smereka
 2003), so dt scales with dbeta, not dbeta^2.  The ghost layer then closes
 the contact-angle relation at the boundary ring: the relation pins each rim
 maximizer to the unit ball's slice at height -omega0, where
-Norm.slice_maximizers finds it (in closed form for the quadric and quartic
-gauges, by a 2x2 Newton per rim node for a custom or shifted one), and the
-ghost value and the closure's residual follow from the gauge's value and
-gradient there.  A quadric's geometry reads per-node frame projections, made
-once per run and handed on by the bundles.  The implicit solve's per-mode
-inverse is built once per run by tridiagonal elimination.
+Norm.slice_maximizers finds it (in closed form for every builtin gauge, by a
+2x2 Newton per rim node for a custom one), and the ghost value and the
+closure's residual follow from the gauge's value and gradient there.  The
+geometry reads per-node frame rows of the norm, made once per run and handed
+on by the bundles.  The implicit solve's per-mode inverse is built once per
+run by tridiagonal elimination.
 A fixed dt_override takes A = 0: forward Euler, the reference explicit
 scheme; a step that moves phi by more than MAX_PHI_STEP ends the run as a
 blow-up.
@@ -184,8 +184,8 @@ def boundary_enforce(
     maximizer z of <w, .> lies on the unit ball's slice z_3 = -omega0, where
     the horizontal gauge gradient is parallel to h: norm.slice_maximizers
     finds it with the gauge's value and gradient there (a closed form for
-    the quadric and quartic gauges; for a custom or shifted gauge a 2x2 Newton
-    per node from z0, the rim maximizers (n_lambda, 3) of a nearby surface).
+    every builtin gauge; for a custom gauge a 2x2 Newton per node from z0,
+    the rim maximizers (n_lambda, 3) of a nearby surface).
     Then w = s Dgauge(z) with s = |h|^2 / <h, D_h gauge> gives p_beta = s d_3
     gauge.  As z_3 = -omega0 exactly, z maximizes <w, .> when the closure's
     residual max(|gauge - 1|, |h_1 d_2 gauge - h_2 d_1 gauge| / <h, D_h gauge>)
@@ -337,8 +337,9 @@ def step(
     """One step of size dt through the given implicit solve, from surface and
     its bundle; returns the new surface and its bundle.
 
-    The dual solve and the generic boundary closure start warm from bundle's
-    maximizers; the closed forms take no start, so a quadric's stay unread.
+    A custom gauge's dual solve and rim closure start warm from bundle's
+    maximizers; the builtin gauges' closed forms take no start, so theirs
+    stay unread.
     """
     if dt < 1e-12:
         raise FlowError("time step underflow")
@@ -501,13 +502,23 @@ def rate_checks(trace: FlowTrace) -> dict:
 
     err_k0 compares dV1/dt against the trace-free curvature integral, err_k1
     compares dV2/dt against the speed-weighted curvature integral.  Ends use
-    one-sided differences.
+    one-sided differences; a final record less than a stride after the one
+    before is differenced a stride back and kept out of the others' stencils,
+    since over its short interval rounding would set the rate.
     """
     m = len(trace.records)
     if m < 3:
         return {key: np.zeros(m) for key in ("err_k0", "err_k1", "abs_k0", "abs_k1")}
-    t, r1, r2 = trace.column("t"), trace.column("rate_V1"), trace.column("rate_V2")
-    abs0 = np.abs(np.gradient(trace.column("V1_boundary"), t) - r1)
-    abs1 = np.abs(np.gradient(trace.column("V2_interior"), t) - r2)
+    t, r1, r2, steps = (trace.column(c) for c in ("t", "rate_V1", "rate_V2", "steps"))
+    keep = m - int(steps[-1] - steps[-2] < steps[-2] - steps[-3])
+
+    def rate(v):
+        out = np.empty(m)
+        out[:keep] = np.gradient(v[:keep], t[:keep])
+        out[keep:] = (v[-1] - v[-3]) / (t[-1] - t[-3])
+        return out
+
+    abs0 = np.abs(rate(trace.column("V1_boundary")) - r1)
+    abs1 = np.abs(rate(trace.column("V2_interior")) - r2)
     return {"err_k0": abs0 / np.maximum(np.abs(r1), 1e-12),
             "err_k1": abs1 / np.maximum(np.abs(r2), 1e-12), "abs_k0": abs0, "abs_k1": abs1}

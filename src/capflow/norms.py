@@ -10,12 +10,12 @@ they are read.  From the jets it derives the support function of the unit
 ball and its maximizers (the Cahn-Hoffman points), and the rim maximizers on
 a horizontal slice of the ball; the squared-gauge Hessian metric; its
 third-derivative tensor; and the curvature matrix of the support function.
-The builtin gauges give the support in closed form (quadric and quartic
-gauges directly, shifted gauges from their base), and the quadric and quartic
-gauges the rim maximizers and the metric at the maximizers too; a custom
-gauge takes the generic Newton solves, the support one eliminated through the
-metric and run on the component arrays, and a shifted gauge the generic rim
-closure and the metric from its jets.
+The builtin gauges give the support, the rim maximizers and the n = 2 frame
+geometry of a radial graph (F, the capillary pairing and the metric
+T G T^T on its tangents) in closed form, the shifted gauges from their base;
+a custom gauge takes the generic Newton solves, the support one eliminated
+through the metric and run on the component arrays, and its frame geometry
+from the metric at the maximizers.
 """
 
 from __future__ import annotations
@@ -141,6 +141,26 @@ def adjugate3(g: np.ndarray):
     adj = (g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11,
            g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01)
     return adj, g00 * adj[0] + g01 * adj[1] + g02 * adj[2]
+
+
+def frame_projections(frame: np.ndarray, pair_a, pair_b, e_f: np.ndarray) -> np.ndarray:
+    """Per-node rows (15, N) of the frame (u, e1, e2), (3, 3, N): u.u, -2 u.e1,
+    -2 u.e2, e1.e1, 2 e1.e2, e2.e2 in the product pair_a, the six pairs in
+    pair_b, and e_f.u, e_f.e1, e_f.e2; _frame_forms reads them.  A product
+    pair(frame, i, j) pairs the frame vectors frame[i] and frame[j], (6, N)."""
+    i, j = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+    rows_a = pair_a(frame, i, j) * np.array([1.0, -2.0, -2.0, 1.0, 2.0, 1.0])[:, None]
+    return np.concatenate((rows_a, pair_b(frame, i, j), np.einsum("i,pin->pn", e_f, frame)))
+
+
+def _frame_forms(rows, rho, f1, f2):
+    """N^T a N for N = u - f1 e1 - f2 e2, the triangle of T_i^T b T_j for T_i =
+    rho (f_i u + e_i) and <N, e_f>, from the rows of frame_projections."""
+    uu, u1, u2, e11, e12, e22, buu, bu1, bu2, b11, b12, b22, pu, p1, p2 = rows[:15]
+    rr, c1, c2 = rho * rho, f1 * buu + bu1, f2 * buu + bu2
+    return (uu + f1 * (u1 + f1 * e11 + f2 * e12) + f2 * (u2 + f2 * e22),
+            (rr * (f1 * (c1 + bu1) + b11), rr * (f2 * c1 + f1 * bu2 + b12),
+             rr * (f2 * (c2 + bu2) + b22)), pu - (f1 * p1 + f2 * p2))
 
 
 class Norm:
@@ -270,8 +290,8 @@ class Norm:
         the maximizers as its upper triangle (d(d+1)/2, N), and the order-2
         jets there, for the directions nu (N, d); z0 and jets0 start the solve
         as in support_many.  This body reads G from the jets of the support
-        solve; the quadric and quartic gauges override it by a closed form,
-        which ignores z0, tol and jets0 and returns None for the jets."""
+        solve; the quadric gauges override it by G = M, which ignores z0, tol
+        and jets0 and returns None for the jets."""
         s, z, _, ok, jets = self.support_many(nu, z0=z0, tol=tol, return_jets=True, jets0=jets0)
         return s, z, ok, metric_components(jets, self.d), jets
 
@@ -282,11 +302,38 @@ class Norm:
                          g[1] * t[0] + g[3] * t[1] + g[4] * t[2],
                          g[2] * t[0] + g[4] * t[1] + g[5] * t[2]))
 
+    def cahn_hoffman(self, nu: np.ndarray, f_val: np.ndarray) -> np.ndarray:
+        """The maximizers at the unit normals nu, whose support is f_val."""
+        return self.support_many(nu)[1]
+
+    def frame_rows(self, frame: np.ndarray, e_f: np.ndarray):
+        """The rows frame_geometry reads for the lattice frame (u, e1, e2),
+        (3, 3, N), and anchor e_f, built once per run: here those two."""
+        return frame, e_f
+
+    def frame_geometry(self, rho, f1, f2, v, rows, warm=None, tol: float = DUAL_TOL):
+        """n = 2: at nodes with radii rho and frame slopes f1, f2 of log(rho),
+        normal nu = N / v for N = u - f1 e1 - f2 e2 and tangents T_i = rho (f_i
+        u + e_i): F(nu), F(N) = v F(nu), <nu, e_f> / F(nu), (ghat11, ghat12,
+        ghat22) of T G T^T and a dict of further bundle fields.  This body runs
+        dual_metric warm from the bundle warm and returns nu, nu_F and the
+        jets; the closed forms ignore warm and tol and leave nu, nu_F lazy."""
+        (u, e1, e2), e_f = rows
+        nu = ((u - (f1 * e1 + f2 * e2)) / v).T
+        z0, jets0 = (None, None) if warm is None else (warm.maximizers, warm.maximizer_jets)
+        f_val, xi, ok, metric, jets = self.dual_metric(nu, z0, tol, jets0)
+        if not np.all(ok):
+            raise DualSolveError(f"dual solve failed at {int(np.sum(~ok))} nodes")
+        t1, t2 = rho * (f1 * u + e1), rho * (f2 * u + e2)
+        gt1, gt2 = self.metric_times(metric, t1), self.metric_times(metric, t2)
+        ghat = ((t1 * gt1).sum(axis=0), (t1 * gt2).sum(axis=0), (t2 * gt2).sum(axis=0))
+        return f_val, v * f_val, (nu @ e_f) / f_val, ghat, dict(nu=nu, nu_F=xi, maximizer_jets=jets)
+
     def slice_maximizers(self, h: np.ndarray, omega0: float, z0: np.ndarray | None = None):
         """Rim maximizers on the unit ball's slice z_3 = -omega0 (d = 3).
 
-        This is the generic closure, for custom and shifted gauges; the
-        quadric and quartic gauges override it by a closed form.
+        This is the generic closure, for custom gauges; every builtin gauge
+        overrides it by a closed form.
 
         h (2, N) holds the horizontal parts of the rim directions (or the
         planar normals of the boundary slice), component-major.  The
@@ -544,6 +591,20 @@ class QuadraticNorm(Norm):
         s, z, _, ok = self.support_many(nu)
         return s, z, ok, np.broadcast_to(self._m_tri, (len(self._m_tri), len(s))), None
 
+    def cahn_hoffman(self, nu, f_val):
+        return nu @ self.m_inv / f_val[:, None]
+
+    def frame_rows(self, frame, e_f):
+        def pair(m):
+            return lambda frame, i, j: np.einsum("pin,ij,pjn->pn", frame[i], m, frame[j])
+        return frame_projections(frame, pair(self.m_inv), pair(self.m), e_f)
+
+    def frame_geometry(self, rho, f1, f2, v, rows, warm=None, tol=DUAL_TOL):
+        """Closed form: F(N) = sqrt(N^T M^-1 N), and G = M gives T M T^T."""
+        q, ghat, num = _frame_forms(rows, rho, f1, f2)
+        fv = np.sqrt(q)
+        return fv / v, fv, num / fv, ghat, {}
+
 
 class ExpressionNorm(Norm):
     """Gauge given by a parsed expression."""
@@ -643,6 +704,27 @@ class ShiftedGaugeNorm(Norm):
             return s, z, iterations, ok
         return s, z, iterations, ok, self._shifted_jet(np.ones(xs.shape[0]), base_jets[0], 2)
 
+    def frame_rows(self, frame, e_f):
+        return self.base.frame_rows(frame, e_f), np.einsum("i,pin->pn", self.eta, frame)
+
+    def frame_geometry(self, rho, f1, f2, v, rows, warm=None, tol=DUAL_TOL):
+        """F = F_base + <nu, eta> at the base's maximizer plus eta, where the
+        gradient is the base's g = nu / F_base, orthogonal to the tangents,
+        over 1 + <eta, g> = F / F_base: so ghat = ghat_base F_base / F."""
+        base_rows, (eu, e1, e2) = rows
+        _, fv_base, pairing, ghat, _ = self.base.frame_geometry(rho, f1, f2, v, base_rows)
+        fv = fv_base + (eu - (f1 * e1 + f2 * e2))
+        ratio = fv_base / fv
+        return fv / v, fv, pairing * ratio, tuple(g * ratio for g in ghat), {}
+
+    def slice_maximizers(self, h, omega0, z0=None):
+        """The base ball's slice at height -(omega0 + eta_3) moved by eta, with
+        the value row there and the gradient rows g / (1 + <eta, g>), parallel
+        to the base's g; z0 is unused."""
+        y, c = self.base.slice_maximizers(h, omega0 + self.eta[2])
+        c[1:] /= 1.0 + self.eta @ c[1:]
+        return y + self.eta, c
+
     def _shifted_jet(self, t: np.ndarray, base_jet: np.ndarray, order: int) -> np.ndarray:
         """Implicit differentiation of base_gauge(x - t eta) = t: the shifted
         gauge's jets at the points x = y + t eta, from its values t and the
@@ -680,24 +762,6 @@ class ShiftedGaugeNorm(Norm):
         return out
 
 
-def _meridian_slope(k: np.ndarray) -> np.ndarray:
-    """The real root u of 2u^3 - k u^2 + u - 2k = 0 for |k| <= 1.
-
-    Hyperbolic Cardano on the depressed cubic t^3 + p t + q = 0, u = t + k/6,
-    where p = 1/2 - k^2/12 > 0 leaves one real root; then one Newton polish
-    (the derivative 6u^2 - 2ku + 1 is positive).  Powers are written as
-    products, which numpy evaluates several times faster than `**`.
-    """
-    kk = k * k
-    p = 0.5 - kk / 12.0
-    q = -k * (kk / 108.0 + 11.0 / 12.0)
-    root_p3 = np.sqrt(p / 3.0)
-    u = k / 6.0 - 2.0 * root_p3 * np.sinh(np.arcsinh(1.5 * q / (p * root_p3)) / 3.0)
-    uu = u * u
-    u -= (u * (2.0 * uu + 1.0) - k * (uu + 2.0)) / (6.0 * uu - 2.0 * k * u + 1.0)
-    return u
-
-
 class QuarticGaugeNorm(Norm):
     """Hand-vectorized jets and closed-form duality for the quartic family
 
@@ -717,25 +781,12 @@ class QuarticGaugeNorm(Norm):
         derivatives of p, written out componentwise."""
         x, y, z = np.asarray(pts, dtype=float).T
         c, t = self.c, layout(3)
-        zz = z * z
-        q = x * x + c * y * y
-        s = q + zz
-        p = s * q + zz * zz
-        if np.any(p <= 0.0):
-            raise EvalDomainError("quartic gauge evaluated at the origin")
-        qs = q + s
-        dp = (2.0 * x * qs, 2.0 * c * y * qs, 2.0 * z * (q + 2.0 * zz))
+        out, (q, zz, qs, p, dp, a1) = self._value_gradient(x, y, z, jet_rows(3, order))
         # d2p = ds (x) dq + dq (x) ds + q*d2s + s*d2q expanded componentwise
         d2p = (8.0 * x * x + 2.0 * qs, 8.0 * c * x * y, 4.0 * x * z,
                8.0 * c * c * y * y + 2.0 * c * qs, 4.0 * c * y * z, 2.0 * q + 12.0 * zz)
-        out = np.empty((jet_rows(3, order), p.size))
-        # gauge = p^(1/4); derivative factors via val to avoid extra pow calls
-        val = out[0] = np.sqrt(np.sqrt(p))
-        a1 = 0.25 * val / p
         a2 = -0.75 * a1 / p
         a2_dp = [a2 * dp_i for dp_i in dp]
-        for k in range(3):
-            np.multiply(a1, dp[k], out=out[1 + k])
         for k, (i, j) in enumerate(zip(t.pi, t.pj)):
             np.multiply(a1, d2p[k], out=out[4 + k])
             out[4 + k] += a2_dp[i] * dp[j]
@@ -749,6 +800,25 @@ class QuarticGaugeNorm(Norm):
             out[t.third] = (a1 * d3p + a2 * sym3(np.array(d2p), dp, 3)
                             + a3 * (dp[t.ti] * dp[t.tj] * dp[t.tk]))
         return out
+
+    def _value_gradient(self, x, y, z, rows):
+        """A (rows, N) jet array with rows 0-3 filled, and the terms of p."""
+        c = self.c
+        zz = z * z
+        q = x * x + c * y * y
+        s = q + zz
+        p = s * q + zz * zz
+        if np.any(p <= 0.0):
+            raise EvalDomainError("quartic gauge evaluated at the origin")
+        qs = q + s
+        dp = (2.0 * x * qs, 2.0 * c * y * qs, 2.0 * z * (q + 2.0 * zz))
+        out = np.empty((rows, p.size))
+        # gauge = p^(1/4); derivative factors via val to avoid extra pow calls
+        val = out[0] = np.sqrt(np.sqrt(p))
+        a1 = 0.25 * val / p
+        for k in range(3):
+            np.multiply(a1, dp[k], out=out[1 + k])
+        return out, (q, zz, qs, p, dp, a1)
 
     def support_many(self, xs, z0=None, tol=DUAL_TOL, return_jets=False, jets0=None):
         """Closed form; z0, tol and jets0 are unused.  Writing q = x^2 + c y^2,
@@ -765,24 +835,6 @@ class QuarticGaugeNorm(Norm):
             return s, np.ascontiguousarray(z.T), 0, ok
         return s, np.ascontiguousarray(z.T), 0, ok, self.gauge_jets(z.T)
 
-    def dual_metric(self, nu, z0=None, tol=DUAL_TOL, jets0=None):
-        """Closed form: G = D2(gauge^2 / 2) = D2p / (4 sqrt(p)) - Dp Dp^T /
-        (8 p^(3/2)) for p = gauge^4, and p = 1 at the maximizer z = (x, y, w).
-        With q = x^2 + c y^2, r = 2q + w^2 and b = q + 2w^2, Dp = 2 (x r,
-        c y r, w b), and the triangle of G reads
-
-            (a x^2 + r/2, a c x y, e x w, a c^2 y^2 + c r/2, e c y w,
-             (3 - b^2/2) w^2 + q/2),   a = 2 - r^2/2, e = 1 - r b/2."""
-        s, z, ok = self._support_components(nu)
-        x, y, w = z
-        cy, ww = self.c * y, w * w
-        q = x * x + cy * y
-        r, b = q + q + ww, q + ww + ww
-        a, e, half_r = 2.0 - 0.5 * r * r, 1.0 - 0.5 * r * b, 0.5 * r
-        metric = np.stack((a * x * x + half_r, a * x * cy, e * x * w, a * cy * cy + self.c * half_r,
-                           e * cy * w, (3.0 - 0.5 * b * b) * ww + 0.5 * q))
-        return s, np.ascontiguousarray(z.T), ok, metric, None
-
     def _support_components(self, xs):
         """support_many's values, maximizers (3, N) and converged mask."""
         nx, ny, nz = np.asarray(xs, dtype=float).T
@@ -794,26 +846,47 @@ class QuarticGaugeNorm(Norm):
         nx, ny, nz = nx / scale, ny / scale, nz / scale
         ny_c = ny / self.c
         q = nx * nx + ny * ny_c
-        nr = np.sqrt(q)
-        swap = np.abs(nz) > nr
         with np.errstate(invalid="ignore"):
-            u = _meridian_slope(np.where(swap, nr, nz) / np.where(swap, nz, nr))
-            uu = u * u
-            a, b = np.where(swap, 1.0, uu), np.where(swap, uu, 1.0)
-            z3 = nz * (a + 2.0 * b) / (2.0 * a + b)
-            zz = z3 * z3
-            val = np.sqrt(np.sqrt((q + zz) * q + zz * zz))
+            z3, val = _meridian_point(q, nz)
             z = np.stack((nx / val, ny_c / val, z3 / val))
             s = scale * (q + nz * z3) / val
         return s, z, np.isfinite(s)
+
+    def frame_rows(self, frame, e_f):
+        """The rows in diag(1, 1/c, 0) and diag(1, c, 0), which pair only the
+        horizontal components, then u_3 and e1_3."""
+        def pair(c):
+            return lambda frame, i, j: frame[i, 0] * frame[j, 0] + c * (frame[i, 1] * frame[j, 1])
+        rows = frame_projections(frame, pair(1.0 / self.c), pair(self.c), e_f)
+        return np.concatenate((rows, frame[:2, 2]))
+
+    def frame_geometry(self, rho, f1, f2, v, rows, warm=None, tol=DUAL_TOL):
+        """Closed form: as in support_many, q = N_1^2 + N_2^2 / c and N_3 =
+        u_3 - f1 e1_3 (e2 is horizontal) give xi = (N_1, N_2 / c, z_3) / sigma
+        and F(N) = (q + N_3 z_3) / sigma.  There p = gauge^4 = 1 and Dp is
+        parallel to N, so on the tangents G reads D2p / 4 = 2 P P^T + w (P E_3^T
+        + E_3 P^T) + diag(r/2, c r/2, q/2 + 3 w^2), with xi = (x, y, w), P =
+        (x, c y, 0) = (N - N_3 E_3) / sigma, q = x^2 + c y^2 and r = 2q + w^2.
+        As <P, T_i> = -s T_i3 for s = N_3 / sigma, ghat_ij = K T_i3 T_j3 +
+        (r/2) T_i^T diag(1, c, 0) T_j with K = 2 s (s - w) + 3 w^2 + q/2."""
+        (q, (h11, h12, h22), num), (u3, e13) = _frame_forms(rows, rho, f1, f2), rows[15:]
+        n3 = u3 - f1 * e13
+        z3, sigma = _meridian_point(q, n3)
+        fv = (q + n3 * z3) / sigma
+        qx, w, s = q / (sigma * sigma), z3 / sigma, n3 / sigma
+        k, half_r = 2.0 * s * (s - w) + 3.0 * w * w + 0.5 * qx, qx + 0.5 * w * w
+        t1, t2 = rho * (f1 * u3 + e13), rho * (f2 * u3)
+        kt1 = k * t1
+        ghat = (kt1 * t1 + half_r * h11, kt1 * t2 + half_r * h12, k * t2 * t2 + half_r * h22)
+        return fv / v, fv, num / fv, ghat, {}
 
     def slice_maximizers(self, h, omega0, z0=None):
         """Closed form: the slice z_3 = -omega0 is the ellipse q = q* with
         q = x^2 + c y^2 and (q* + omega0^2) q* + omega0^4 = 1, so
         q* = (sqrt(4 - 3 omega0^4) - omega0^2) / 2, which is positive for
         |omega0| < 1.  The horizontal gradient is a positive multiple of
-        (x, c y), so (x, c y) = t h with t^2 (h_1^2 + h_2^2 / c) = q*.  z0 is
-        unused."""
+        (x, c y), so (x, c y) = t h with t^2 (h_1^2 + h_2^2 / c) = q*.  The
+        rows are gauge_jets' value and gradient, bitwise.  z0 is unused."""
         if not abs(omega0) < 1.0:
             raise FlowError(f"empty boundary slice at height {-omega0:.6g} for {self.name}")
         w2 = omega0 * omega0
@@ -825,7 +898,33 @@ class QuarticGaugeNorm(Norm):
         z[0] = t * h1
         z[1] = t * h2_c
         z[2] = -omega0
-        return z.T, self.gauge_jets(z.T)[:4]
+        return z.T, self._value_gradient(*z, 4)[0]
+
+
+def _meridian_point(q, nz):
+    """The height z_3 of the point (n_x, n_y / c, z_3) along the quartic
+    maximizer for a direction n with q = n_x^2 + n_y^2 / c and n_z = nz, and
+    its gauge (see QuarticGaugeNorm.support_many).  The slope u (1/u past
+    |k| = 1) solves 2u^3 - k u^2 + u - 2k = 0 with |k| <= 1 by hyperbolic
+    Cardano on the depressed cubic t^3 + p t + q = 0, u = t + k/6, where p =
+    1/2 - k^2/12 > 0 leaves one real root, then one Newton polish (the
+    derivative 6u^2 - 2ku + 1 is positive); powers are written as products,
+    which numpy evaluates several times faster than `**`."""
+    nr = np.sqrt(q)
+    swap = np.abs(nz) > nr
+    k = np.where(swap, nr, nz) / np.where(swap, nz, nr)
+    kk = k * k
+    p = 0.5 - kk / 12.0
+    cq = -k * (kk / 108.0 + 11.0 / 12.0)
+    root_p3 = np.sqrt(p / 3.0)
+    u = k / 6.0 - 2.0 * root_p3 * np.sinh(np.arcsinh(1.5 * cq / (p * root_p3)) / 3.0)
+    uu = u * u
+    u -= (u * (2.0 * uu + 1.0) - k * (uu + 2.0)) / (6.0 * uu - 2.0 * k * u + 1.0)
+    uu = u * u
+    a, b = np.where(swap, 1.0, uu), np.where(swap, uu, 1.0)
+    z3 = nz * (a + 2.0 * b) / (2.0 * a + b)
+    zz = z3 * z3
+    return z3, np.sqrt(np.sqrt((q + zz) * q + zz * zz))
 
 
 # ---------------------------------------------------------------------------

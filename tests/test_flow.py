@@ -272,8 +272,12 @@ class TestOneRimSolve:
 
     @pytest.mark.parametrize("kind, cls, name, grid_size, solves", [
         ("sphere", QuadraticNorm, "support_many", (24, 48), 0),
-        # the geometry's dual_metric; the rim closure reads the slice ellipse
-        ("quartic_a2", QuarticGaugeNorm, "_support_components", (64, 128), 1),
+        # the geometry's meridian form and the rim's slice ellipse solve nothing
+        ("quartic_a2", QuarticGaugeNorm, "_support_components", (64, 128), 0),
+        # nor do their shifted forms: no generic support solve or rim closure
+        ("quartic_a3", Norm, "support_many", (24, 48), 0),
+        ("quartic_a3", ShiftedGaugeNorm, "support_many", (24, 48), 0),
+        ("quartic_a3", Norm, "slice_maximizers", (24, 48), 0),
         # the geometry's warm Newton; the rim closure is its own 2x2 Newton
         ("custom", Norm, "support_many", (16, 32), 1)])
     def test_a_warm_step_solves_the_dual_once_at_most(self, kind, cls, name, grid_size,
@@ -553,6 +557,28 @@ class TestRun:
         assert lines[0] == ",".join(TRACE_COLUMNS)
         assert len(lines) == len(trace.records) + 1
         assert all(len(ln.split(",")) == len(TRACE_COLUMNS) for ln in lines[1:])
+
+    def test_a_short_final_interval_is_differenced_a_stride_back(self):
+        from capflow.flow import FlowTrace
+
+        def trace(bump):
+            # V1 and V2 linear in t at the rates recorded; the run stopped 4
+            # steps after its last 25-step record, and bump stands for rounding
+            tr = FlowTrace()
+            for k in (0, 25, 50, 75, 79):
+                t = 1e-3 * k
+                tr.records.append(dict(t=t, steps=k, V1_boundary=2.0 - 0.5 * t, rate_V1=-0.5,
+                                       V2_interior=1.0 + 0.25 * t, rate_V2=0.25))
+            tr.records[-1]["V1_boundary"] += bump
+            tr.records[-1]["V2_interior"] -= bump
+            return tr
+
+        exact, bumped = rate_checks(trace(0.0)), rate_checks(trace(1e-12))
+        for key in ("abs_k0", "abs_k1"):
+            assert exact[key].max() <= 1e-12
+            # only the final record's rate reads it, over its 29 steps back
+            assert np.array_equal(bumped[key][:-1], exact[key][:-1])
+            assert bumped[key][-1] - exact[key][-1] <= 1.01e-12 / 0.029
 
     def test_rate_checks_need_three_records(self):
         from capflow.flow import FlowTrace

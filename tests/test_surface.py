@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.checks import CAP_BATTERY, static_cap_bundle
-from capflow.norms import QUARTIC_A2_TEXT, Norm, QuadraticNorm, make_norm
+from capflow.norms import (QUARTIC_A2_TEXT, Norm, QuadraticNorm, QuarticGaugeNorm,
+                           ShiftedGaugeNorm, make_norm)
 from capflow.surface import (
     _d1,
     _stencils_n2,
@@ -364,10 +365,10 @@ class TestLeanKernel:
 BUILTIN_CLOSED = {"sphere": (SPHERE, -0.5),
                   "ellipsoid": (make_norm("ellipsoid", [1.2, 0.8, 1.0]), -0.3),
                   "quartic_a2": (A2, -0.3),
-                  "quartic_a2_prime": (make_norm("quartic_a2_prime"), 0.2)}
+                  "quartic_a2_prime": (make_norm("quartic_a2_prime"), 0.2),
+                  "quartic_a3": (make_norm("quartic_a3", [0.3]), -0.2)}
 # the gauges whose metric comes from the jets of the support solve
-JET_CARRIERS = {"custom": (make_norm("custom", f0_expr=QUARTIC_A2_TEXT), -0.3),
-                "quartic_a3": (make_norm("quartic_a3", [0.3]), -0.2)}
+JET_CARRIERS = {"custom": (make_norm("custom", f0_expr=QUARTIC_A2_TEXT), -0.3)}
 
 
 def counted_jets(monkeypatch, norm):
@@ -422,14 +423,9 @@ class TestCarriedJets:
         anchor = anchor_vector(norm, omega0)
         grid = HalfSphereGrid(2, 16, 32)
         b = geometry(smooth_surface(grid, seed), norm, omega0, anchor)
-        # the jets at the maximizers: those of the last Newton iterate for the
-        # custom gauge, the base jets at t = 1 for the shifted one, where the
-        # ray roots give t = 1 to round-off
+        # the jets at the maximizers: those of the last Newton iterate
         recomputed = norm.gauge_jets(b.maximizers)
-        if kind == "custom":
-            assert np.array_equal(b.maximizer_jets, recomputed)
-        else:
-            np.testing.assert_allclose(b.maximizer_jets, recomputed, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(b.maximizer_jets, recomputed)
         nxt = smooth_surface(grid, seed + 1)
         carried = geometry(nxt, norm, omega0, anchor, warm=b, dual_tol=1e-9)
         b.maximizer_jets = recomputed
@@ -477,27 +473,30 @@ class TestNearlyUmbilic:
         assert b.diffusion_max == pytest.approx(1.0, rel=2e-15, abs=0)
 
 
-class GenericQuadric(Norm):
-    """A quadric gauge that geometry takes through the support solve and
-    Norm.dual_metric, as any other gauge, instead of the frame projections."""
+class GenericPath(Norm):
+    """A builtin gauge that geometry takes through the support solve and
+    Norm.dual_metric, as a custom gauge, instead of its own frame geometry."""
 
-    def __init__(self, quadric):
-        super().__init__(quadric.d, name=quadric.name)
-        self.quadric = quadric
+    def __init__(self, gauge):
+        super().__init__(gauge.d, name=gauge.name)
+        self.gauge = gauge
 
     def gauge_jets(self, pts, order=2):
-        return self.quadric.gauge_jets(pts, order)
+        return self.gauge.gauge_jets(pts, order)
 
     def support_many(self, *args, **kwargs):
-        return self.quadric.support_many(*args, **kwargs)
+        return self.gauge.support_many(*args, **kwargs)
 
 
 class TestQuadricProjections:
-    """The n = 2 quadric geometry from per-node frame projections."""
+    """The n = 2 closed-form geometry from per-node frame rows: the quadric's
+    projections, the quartic's meridian form and the shifted gauge's rescaling."""
 
     LAZY = ("nu", "nu_F")
     NORMS = {"sphere": SPHERE, "ellipsoid": make_norm("ellipsoid", [4.0, 1.0, 2.0]),
-             "rotated": rotated_quadric()}
+             "rotated": rotated_quadric(), "quartic_a2": A2,
+             "quartic_a2_prime": make_norm("quartic_a2_prime"),
+             "quartic_a3": make_norm("quartic_a3", [0.3])}
 
     def test_warm_geometry_solves_nothing_and_leaves_the_normals_unread(self, monkeypatch):
         norm, omega0 = make_norm("sphere"), -0.5
@@ -517,6 +516,23 @@ class TestQuadricProjections:
         assert all(isinstance(vars(warm)[name], np.ndarray) for name in self.LAZY)
         assert calls == []
 
+    @pytest.mark.parametrize("kind", ["quartic_a2", "quartic_a2_prime", "quartic_a3"])
+    def test_warm_quartic_geometry_solves_nothing(self, kind, monkeypatch):
+        norm, omega0 = self.NORMS[kind], -0.4
+        anchor = anchor_vector(norm, omega0)
+        grid = HalfSphereGrid(2, 24, 48)
+        cold = geometry(smooth_surface(grid, 1), norm, omega0, anchor)
+        calls = []
+        for cls, name in ((Norm, "dual_metric"), (Norm, "metric_times"), (Norm, "support_many"),
+                          (QuarticGaugeNorm, "_support_components"),
+                          (QuarticGaugeNorm, "gauge_jets"), (ShiftedGaugeNorm, "support_many"),
+                          (ShiftedGaugeNorm, "gauge_jets")):
+            monkeypatch.setattr(cls, name, lambda *a, name=name, **k: calls.append(name))
+        warm = geometry(smooth_surface(grid, 2), norm, omega0, anchor, warm=cold, dual_tol=1e-9)
+        assert calls == []
+        assert warm.projections is cold.projections and warm.maximizer_jets is None
+        assert not any(name in vars(warm) for name in self.LAZY)
+
     @pytest.mark.parametrize("kind", sorted(NORMS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_field_matches_the_generic_dual_metric_path(self, kind, seed):
@@ -524,8 +540,10 @@ class TestQuadricProjections:
         anchor = anchor_vector(norm, omega0)
         surf = smooth_surface(HalfSphereGrid(2, 24, 48), seed)
         got = geometry(surf, norm, omega0, anchor)
-        want = geometry(surf, GenericQuadric(norm), omega0, anchor)
-        assert got.projections is not None and want.projections is None
+        want = geometry(surf, GenericPath(norm), omega0, anchor)
+        # only the generic path forms the normals and solves for nu_F
+        assert not any(name in vars(got) for name in self.LAZY)
+        assert all(name in vars(want) for name in self.LAZY)
         names = TestClosedFormMetric.FIELDS + ("u_bar", "area_el", "Hk")
         pairs = [(getattr(got, k), getattr(want, k), k) for k in names]
         pairs += [(got.parts[k], want.parts[k], k) for k in want.parts]

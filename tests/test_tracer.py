@@ -74,10 +74,9 @@ def ancestors(tracer, spans, rec):
     return names
 
 
-def test_builtin_jet_spans_nest_in_the_rim_closure_not_the_geometry():
-    # the closed-form rim closure of the builtin quartic reads its jets
-    # through gauge_jets, so each call is a span under boundary_enforce; the
-    # geometry takes the metric in closed form and evaluates no jets
+def test_builtin_jet_spans_nest_in_the_set_up_not_the_step():
+    # the builtin quartic's geometry and rim closure are closed forms that
+    # evaluate no jets; its jets spans come from the set-up's ray roots
     tracer = load_tracer()
     cfg = FlowConfig(norm=make_norm("quartic_a2"), omega0=-0.3, n_beta=16, n_lambda=32,
                      t_end=0.01)
@@ -86,5 +85,5 @@ def test_builtin_jet_spans_nest_in_the_rim_closure_not_the_geometry():
     assert trace.steps > 0
     outer = {name for rec in t.spans if rec[tracer.NAME] == "norms.gauge_jets.quartic"
              for name in ancestors(tracer, t.spans, rec)}
-    assert "flow.boundary_enforce" in outer
-    assert "surface.geometry" not in outer
+    assert "wulff.radial_many" in outer
+    assert "flow.boundary_enforce" not in outer and "surface.geometry" not in outer
